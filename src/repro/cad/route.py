@@ -163,8 +163,10 @@ class PathFinderRouter:
         neighbor_list = self.rrg.neighbor_list
         occ_get = self._occ.get
         hist_get = self._hist.get
+        heappush, heappop = heapq.heappush, heapq.heappop
         hist_fac, astar_fac = self.hist_fac, self.astar_fac
         per_cell, width = self._per_cell, self._width
+        x_lo, x_hi, y_lo, y_hi = bbox.x, bbox.x2, bbox.y, bbox.y2
 
         tree_nodes: List[int] = [source]
         tree_set = {source}
@@ -186,7 +188,7 @@ class PathFinderRouter:
             came: Dict[int, int] = {}
             heap: List[Tuple[float, float, int]] = []
             for node in tree_nodes:
-                x, y = self._node_xy(node)
+                y, x = divmod(node // per_cell, width)
                 h = astar_fac * (abs(x - sx) + abs(y - sy))
                 gbest[node] = 0.0
                 came[node] = -1
@@ -195,7 +197,7 @@ class PathFinderRouter:
 
             found = False
             while heap:
-                f, g, node = heapq.heappop(heap)
+                f, g, node = heappop(heap)
                 if node == sink:
                     found = True
                     break
@@ -207,10 +209,10 @@ class PathFinderRouter:
                 for nb in nbs:
                     cell = nb // per_cell
                     by = cell // width
+                    if by < y_lo or by >= y_hi:
+                        continue
                     bx = cell - by * width
-                    if not (
-                        bbox.x <= bx < bbox.x2 and bbox.y <= by < bbox.y2
-                    ):
+                    if bx < x_lo or bx >= x_hi:
                         continue
                     # Congestion-aware node cost (capacity 1 everywhere).
                     over = occ_get(nb, 0)
@@ -224,7 +226,7 @@ class PathFinderRouter:
                     gbest[nb] = ng
                     came[nb] = node
                     h = astar_fac * (abs(bx - sx) + abs(by - sy))
-                    heapq.heappush(heap, (ng + h, ng, nb))
+                    heappush(heap, (ng + h, ng, nb))
 
             if not found:
                 return None
@@ -272,9 +274,14 @@ class PathFinderRouter:
                 src, sinks = terminals[name]
                 tree = trees.get(name)
                 if tree is not None:
-                    if all(occ.get(n, 0) <= 1 for n in tree.nodes):
-                        continue  # keep conflict-free nets as they are
-                    for n in tree.nodes:
+                    # Keep conflict-free nets as they are (every tree node
+                    # is in ``occ``: the tree holds it).
+                    if occ[tree.source] <= 1 and all(
+                        occ[n] <= 1 for n in tree.parent
+                    ):
+                        continue
+                    occ[tree.source] -= 1
+                    for n in tree.parent:
                         occ[n] -= 1
                 parent = self._route_net(src, sinks, pres_fac, net_bbox(name, margin))
                 if parent is None and full_bbox_retry:
@@ -284,9 +291,9 @@ class PathFinderRouter:
                         f"net {name}: no path at W={rrg.W} "
                         f"(iteration {iteration})"
                     )
-                tree = RouteTree(name, src, list(sinks), parent)
-                trees[name] = tree
-                for n in tree.nodes:
+                trees[name] = RouteTree(name, src, list(sinks), parent)
+                occ[src] = occ.get(src, 0) + 1
+                for n in parent:
                     occ[n] = occ.get(n, 0) + 1
 
             over_nodes = [n for n, o in occ.items() if o > 1]

@@ -1,4 +1,4 @@
-"""Router sparse-state properties: memory, byte-identity, RRG parity."""
+"""Placement and routing byte-identity pins, router memory, RRG parity."""
 
 from __future__ import annotations
 
@@ -8,7 +8,12 @@ import tracemalloc
 from repro.arch.fabric import FabricArch
 from repro.arch.params import ArchParams
 from repro.arch.rrg import RoutingGraph, TilePatternRoutingGraph
+from repro.cad.flow import required_logic_size, required_pad_ring
+from repro.cad.pack import pack
+from repro.cad.place import place
 from repro.cad.route import PathFinderRouter, net_terminals
+from repro.eval.mcnc import circuit
+from repro.netlist.lutmap import map_to_luts
 
 
 def routing_signature(routing) -> str:
@@ -21,6 +26,45 @@ def routing_signature(routing) -> str:
             h.update(f",{child}>{tree.parent[child]}".encode())
         h.update(b";")
     return h.hexdigest()
+
+
+def placement_signature(placement) -> str:
+    """Digest of every instance's exact site (sorted by instance name)."""
+    return hashlib.sha256(
+        repr(sorted(placement.locations.items())).encode()
+    ).hexdigest()[:16]
+
+
+def test_placement_byte_identity_pinned(tiny_flow, small_flow):
+    """The annealer's RNG call sequence, accept decisions and schedule are
+    pinned through the exact sites and the exact (integer-valued) cost."""
+    assert tiny_flow.placement.cost == 53.0
+    assert placement_signature(tiny_flow.placement) == "9024e48f267a4f04"
+    assert small_flow.placement.cost == 317.0
+    assert placement_signature(small_flow.placement) == "2b56f0c4ee6959cc"
+
+
+def test_placement_with_wide_nets_pinned():
+    """ex5p at scale 0.1 has nets of up to 57 pins, so incremental
+    bounding-box updates and edge-loss rebuilds both run many times."""
+    params = ArchParams(channel_width=20)
+    design = pack(
+        map_to_luts(circuit("ex5p").netlist(0.1), params.lut_size),
+        params.lut_size,
+    )
+    widest = max(
+        len({use.driver[0]} | {inst for inst, _ in use.sinks})
+        for use in design.nets.values()
+    )
+    assert widest >= 30
+    size = max(
+        required_logic_size(design.num_clbs),
+        required_pad_ring(design.num_pads),
+    )
+    pl = place(design, FabricArch.island(params, size), seed=1)
+    assert pl.cost == 324.0
+    assert placement_signature(pl) == "1e08eaf38b9143e8"
+    assert pl.cost == pl.hpwl()
 
 
 def test_routing_byte_identity_pinned(tiny_flow, small_flow):
