@@ -5,215 +5,103 @@ the workload simulator's virtual clock and reports the latency
 percentiles, queue depths and server utilization the open-loop engine
 adds — the numbers a production-scale runtime manager is sized by.
 Everything is seeded, so ``extra_info`` values are comparable across
-runs and machines.
-
-Also runnable as a script (the CI bench-smoke artifact)::
-
-    python benchmarks/bench_openloop.py --out openloop-smoke.json
-
-which runs one short open-loop scenario, validates that the report
-carries the percentile/queue-depth schema, and writes the JSON.
+runs and machines.  The report bytes of the short open-loop and fleet
+scenarios are pinned in ``tests/runtime/test_replay_pins.py``.
 """
 
-from __future__ import annotations
+import pytest
 
-import argparse
-import json
-import sys
+from repro.arch import FabricArch
+from repro.runtime import (
+    ExternalMemory,
+    FabricManager,
+    ReconfigurationController,
+    WorkloadSimulator,
+    generate_trace,
+)
+from repro.vbs import encode_flow
+
+TRACE_LENGTH = 60
 
 
-def _smoke_scenario(
-    length: int = 14,
-    seed: int = 1,
-    shards: int = 1,
-    router: str = "hash",
-    servers: int = 1,
-    policy: "str | None" = None,
-) -> dict:
-    from repro.runtime.workload import run_scenario
+@pytest.fixture(scope="module")
+def openloop_images(bench_flow, bench_config):
+    """Two container variants of the bench circuit (distinct digests)."""
+    return [
+        ("plain", encode_flow(bench_flow, bench_config, cluster_size=1)),
+        ("autoc", encode_flow(bench_flow, bench_config, cluster_size=1,
+                              codecs="auto")),
+    ]
 
-    return run_scenario(
-        kind="zipf",
-        n_tasks=2,
-        length=length,
-        seed=seed,
-        arrivals="poisson",
-        mean_interarrival=1500,
-        shards=shards,
-        router=router,
-        servers=servers,
-        policy=policy,
+
+def _manager(bench_flow, images):
+    w, h = bench_flow.fabric.width, bench_flow.fabric.height
+    fabric = FabricArch(
+        bench_flow.params, w + w // 2 + 1, h + 1,
+        {(x, y): "clb"
+         for x in range(w + w // 2 + 1) for y in range(h + 1)},
+    )
+    ctrl = ReconfigurationController(fabric, ExternalMemory())
+    for name, vbs in images:
+        ctrl.store_vbs(name, vbs)
+    return FabricManager(ctrl)
+
+
+@pytest.mark.parametrize("mean_interarrival", [200, 5000])
+def test_openloop_zipf_replay(benchmark, bench_flow, openloop_images,
+                              mean_interarrival):
+    """Saturated (200-cycle gaps) vs relaxed (5000) arrival pressure."""
+    names = [name for name, _v in openloop_images]
+    trace = generate_trace(
+        "zipf", names, TRACE_LENGTH, seed=1,
+        arrivals="poisson", mean_interarrival=mean_interarrival,
     )
 
+    def replay():
+        mgr = _manager(bench_flow, openloop_images)
+        return WorkloadSimulator(mgr).run(trace)
 
-# -- pytest-benchmark harness ----------------------------------------------------
+    report = benchmark(replay)
+    benchmark.extra_info["p50_latency"] = report["latency"]["p50"]
+    benchmark.extra_info["p99_latency"] = report["latency"]["p99"]
+    benchmark.extra_info["max_queue_depth"] = report["queue"]["max_depth"]
+    benchmark.extra_info["utilization"] = report["clock"]["utilization"]
 
-try:
-    import pytest
-except ImportError:  # pragma: no cover - benchmarks always run under pytest
-    pytest = None
 
-if pytest is not None:
-    from repro.arch import FabricArch
-    from repro.runtime import (
-        ExternalMemory,
-        FabricManager,
-        ReconfigurationController,
-        WorkloadSimulator,
-        generate_trace,
+@pytest.mark.parametrize("router", ["hash", "load"])
+def test_openloop_fleet_replay(benchmark, bench_flow, openloop_images,
+                               router):
+    """Four-shard fleet replay of a saturating trace (k servers)."""
+    from repro.runtime import FleetManager
+
+    names = [name for name, _v in openloop_images]
+    trace = generate_trace(
+        "zipf", names, TRACE_LENGTH, seed=1,
+        arrivals="poisson", mean_interarrival=200,
     )
-    from repro.vbs import encode_flow
 
-    TRACE_LENGTH = 60
-
-    @pytest.fixture(scope="module")
-    def openloop_images(bench_flow, bench_config):
-        """Two container variants of the bench circuit (distinct digests)."""
-        return [
-            ("plain", encode_flow(bench_flow, bench_config, cluster_size=1)),
-            ("autoc", encode_flow(bench_flow, bench_config, cluster_size=1,
-                                  codecs="auto")),
-        ]
-
-    def _manager(bench_flow, images):
+    def _fleet():
         w, h = bench_flow.fabric.width, bench_flow.fabric.height
-        fabric = FabricArch(
-            bench_flow.params, w + w // 2 + 1, h + 1,
-            {(x, y): "clb"
-             for x in range(w + w // 2 + 1) for y in range(h + 1)},
-        )
-        ctrl = ReconfigurationController(fabric, ExternalMemory())
-        for name, vbs in images:
-            ctrl.store_vbs(name, vbs)
-        return FabricManager(ctrl)
+        memory = ExternalMemory()
+        managers = []
+        for _shard in range(4):
+            fabric = FabricArch(
+                bench_flow.params, w + w // 2 + 1, h + 1,
+                {(x, y): "clb"
+                 for x in range(w + w // 2 + 1) for y in range(h + 1)},
+            )
+            managers.append(FabricManager(
+                ReconfigurationController(fabric, memory)
+            ))
+        for name, vbs in openloop_images:
+            managers[0].controller.store_vbs(name, vbs)
+        return FleetManager(managers, router=router)
 
-    @pytest.mark.parametrize("mean_interarrival", [200, 5000])
-    def test_openloop_zipf_replay(benchmark, bench_flow, openloop_images,
-                                  mean_interarrival):
-        """Saturated (200-cycle gaps) vs relaxed (5000) arrival pressure."""
-        names = [name for name, _v in openloop_images]
-        trace = generate_trace(
-            "zipf", names, TRACE_LENGTH, seed=1,
-            arrivals="poisson", mean_interarrival=mean_interarrival,
-        )
+    def replay():
+        return WorkloadSimulator(fleet=_fleet()).run(trace)
 
-        def replay():
-            mgr = _manager(bench_flow, openloop_images)
-            return WorkloadSimulator(mgr).run(trace)
-
-        report = benchmark(replay)
-        benchmark.extra_info["p50_latency"] = report["latency"]["p50"]
-        benchmark.extra_info["p99_latency"] = report["latency"]["p99"]
-        benchmark.extra_info["max_queue_depth"] = report["queue"]["max_depth"]
-        benchmark.extra_info["utilization"] = report["clock"]["utilization"]
-
-    @pytest.mark.parametrize("router", ["hash", "load"])
-    def test_openloop_fleet_replay(benchmark, bench_flow, openloop_images,
-                                   router):
-        """Four-shard fleet replay of a saturating trace (k servers)."""
-        from repro.runtime import FleetManager
-
-        names = [name for name, _v in openloop_images]
-        trace = generate_trace(
-            "zipf", names, TRACE_LENGTH, seed=1,
-            arrivals="poisson", mean_interarrival=200,
-        )
-
-        def _fleet():
-            w, h = bench_flow.fabric.width, bench_flow.fabric.height
-            memory = ExternalMemory()
-            managers = []
-            for _shard in range(4):
-                fabric = FabricArch(
-                    bench_flow.params, w + w // 2 + 1, h + 1,
-                    {(x, y): "clb"
-                     for x in range(w + w // 2 + 1) for y in range(h + 1)},
-                )
-                managers.append(FabricManager(
-                    ReconfigurationController(fabric, memory)
-                ))
-            for name, vbs in openloop_images:
-                managers[0].controller.store_vbs(name, vbs)
-            return FleetManager(managers, router=router)
-
-        def replay():
-            return WorkloadSimulator(fleet=_fleet()).run(trace)
-
-        report = benchmark(replay)
-        benchmark.extra_info["p99_latency"] = report["latency"]["p99"]
-        benchmark.extra_info["fleet_utilization"] = (
-            report["clock"]["utilization"]
-        )
-
-
-# -- CI smoke artifact ------------------------------------------------------------
-
-
-def main(argv: "list[str] | None" = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Open-loop workload smoke artifact."
+    report = benchmark(replay)
+    benchmark.extra_info["p99_latency"] = report["latency"]["p99"]
+    benchmark.extra_info["fleet_utilization"] = (
+        report["clock"]["utilization"]
     )
-    parser.add_argument("--out", default="openloop-smoke.json",
-                        help="output JSON path")
-    parser.add_argument("--length", type=int, default=14)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--shards", type=int, default=1,
-                        help="fabric shards (a >1 count also validates "
-                             "the fleet/per-shard report schema)")
-    parser.add_argument("--router", default="hash",
-                        help="fleet placement router (hash or load)")
-    parser.add_argument("--servers", type=int, default=1,
-                        help="parallel reconfiguration servers on the "
-                             "open-loop clock")
-    parser.add_argument("--policy", default=None,
-                        help="admission policy (none, drop-cold, "
-                             "defer-cold or priority; single-fabric "
-                             "runs only)")
-    args = parser.parse_args(argv)
-
-    report = _smoke_scenario(
-        length=args.length, seed=args.seed,
-        shards=args.shards, router=args.router,
-        servers=args.servers, policy=args.policy,
-    )
-    latency = report.get("latency") or {}
-    for field in ("p50", "p95", "p99"):
-        if field not in latency:
-            print(f"missing latency percentile {field!r} in the report",
-                  file=sys.stderr)
-            return 1
-    if "max_depth" not in report.get("queue", {}):
-        print("missing queue depth in the report", file=sys.stderr)
-        return 1
-    if args.servers > 1 and args.shards == 1 \
-            and report.get("clock", {}).get("servers") != args.servers:
-        print("missing k-server tag in the clock section",
-              file=sys.stderr)
-        return 1
-    if args.policy not in (None, "none") and "admission" not in report:
-        print("missing admission section in the report", file=sys.stderr)
-        return 1
-    if args.shards > 1:
-        fleet = report.get("fleet", {})
-        shards = report.get("shards", [])
-        if fleet.get("shards") != args.shards or len(shards) != args.shards:
-            print("missing fleet/per-shard sections in the report",
-                  file=sys.stderr)
-            return 1
-        for shard in shards:
-            if "latency" not in shard or "clock" not in shard:
-                print(f"shard {shard.get('shard')} is missing its "
-                      f"latency/clock sections", file=sys.stderr)
-                return 1
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"open-loop zipf trace: p50 {latency['p50']} / "
-          f"p95 {latency['p95']} / p99 {latency['p99']} cycles, "
-          f"max queue depth {report['queue']['max_depth']}")
-    print(f"wrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

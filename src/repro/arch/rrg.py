@@ -42,7 +42,6 @@ the compressed representation.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Tuple
 
@@ -438,7 +437,6 @@ class TilePatternRoutingGraph(_RoutingGraphBase):
 
 _RRG_CACHE: "OrderedDict[tuple, _RoutingGraphBase]" = OrderedDict()
 _RRG_CACHE_CAPACITY = 8
-_RRG_CACHE_LOCK = threading.Lock()
 
 
 def routing_graph_for(
@@ -461,26 +459,19 @@ def routing_graph_for(
             fabric.width * fabric.height * per_cell >= COMPRESSED_AUTO_NODES
         )
     key = fabric.structure_key() + (bool(compressed),)
-    with _RRG_CACHE_LOCK:
-        graph = _RRG_CACHE.get(key)
-        if graph is not None:
-            _RRG_CACHE.move_to_end(key)
-            return graph
+    graph = _RRG_CACHE.get(key)
+    if graph is not None:
+        _RRG_CACHE.move_to_end(key)
+        return graph
     graph = (
         TilePatternRoutingGraph(fabric) if compressed else RoutingGraph(fabric)
     )
-    with _RRG_CACHE_LOCK:
-        existing = _RRG_CACHE.get(key)
-        if existing is not None:
-            _RRG_CACHE.move_to_end(key)
-            return existing
-        _RRG_CACHE[key] = graph
-        while len(_RRG_CACHE) > _RRG_CACHE_CAPACITY:
-            _RRG_CACHE.popitem(last=False)
+    _RRG_CACHE[key] = graph
+    while len(_RRG_CACHE) > _RRG_CACHE_CAPACITY:
+        _RRG_CACHE.popitem(last=False)
     return graph
 
 
 def clear_routing_graph_cache() -> None:
     """Drop every cached graph (tests and memory-measurement harnesses)."""
-    with _RRG_CACHE_LOCK:
-        _RRG_CACHE.clear()
+    _RRG_CACHE.clear()

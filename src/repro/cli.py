@@ -49,11 +49,8 @@ def _add_vbsgen_args(parser: argparse.ArgumentParser) -> None:
                              "comma-separated registry name list "
                              "(default: paper-strict list+raw)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="encode pipeline workers")
-    parser.add_argument("--backend", default="thread",
-                        choices=("thread", "process"),
-                        help="encode pipeline pool flavor (process sidesteps "
-                             "the GIL for the pure-Python router)")
+                        help="encode pipeline worker processes (default: "
+                             "serial)")
     parser.add_argument("--compact-logic", action="store_true",
                         help="Section V presence-flagged logic coding")
     parser.add_argument("--raw-output", type=Path, default=None,
@@ -110,7 +107,6 @@ def _run_vbsgen(args: argparse.Namespace) -> int:
         compact_logic=args.compact_logic,
         codecs=codecs,
         workers=args.workers,
-        backend=args.backend,
         predictor=predictor,
     )
     out = args.output or args.blif.with_suffix(".vbs")
@@ -265,7 +261,7 @@ def _inspect_shared_stub(args: argparse.Namespace, data: bytes,
 def _run_vbs_inspect(args: argparse.Namespace) -> int:
     import json
 
-    from repro.errors import SharedDictUnresolvedError
+    from repro.errors import SharedDictUnresolvedError, VbsError
     from repro.utils.bitarray import BitArray
     from repro.vbs.codecs import codec_by_name
     from repro.vbs.format import PRELUDE_BITS
@@ -275,6 +271,10 @@ def _run_vbs_inspect(args: argparse.Namespace) -> int:
         vbs = VirtualBitstream.from_bits(BitArray.from_bytes(data))
     except SharedDictUnresolvedError as exc:
         return _inspect_shared_stub(args, data, str(exc))
+    except VbsError as exc:
+        # A malformed or truncated container is a failed inspect.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     lay = vbs.layout
     if args.json:
         summary = inspect_summary(

@@ -166,14 +166,16 @@ class PolicyStore:
 class AdmissionPolicy:
     """Base admission policy: admit everything (the ``none`` behavior).
 
-    Subclasses override :meth:`decide`, returning one of ``"admit"``,
-    ``"drop"`` or ``"defer"`` for a request observed at the door with a
-    temperature (``hot``) and the current queue depth.  ``store`` is
+    :meth:`decide` returns one of ``"admit"``, ``"drop"`` or
+    ``"defer"`` for a request observed at the door with a temperature
+    (``hot``) and the current queue depth; a subclass sets ``shed``,
+    what a cold request at or past the threshold gets.  ``store`` is
     the policy's :class:`PolicyStore` (a fresh one unless shared
     explicitly); the simulator records every serviced request into it.
     """
 
     kind = "none"
+    shed: Optional[str] = None
 
     def __init__(
         self,
@@ -191,6 +193,8 @@ class AdmissionPolicy:
         self.max_defers = max_defers
 
     def decide(self, hot: bool, depth: int) -> str:
+        if self.shed is not None and not hot and depth >= self.queue_threshold:
+            return self.shed
         return "admit"
 
 
@@ -198,22 +202,14 @@ class DropColdPolicy(AdmissionPolicy):
     """Reject cold requests past the queue-depth threshold."""
 
     kind = "drop-cold"
-
-    def decide(self, hot: bool, depth: int) -> str:
-        if not hot and depth >= self.queue_threshold:
-            return "drop"
-        return "admit"
+    shed = "drop"
 
 
 class DeferColdPolicy(AdmissionPolicy):
     """Re-enqueue cold requests past the threshold (bounded retries)."""
 
     kind = "defer-cold"
-
-    def decide(self, hot: bool, depth: int) -> str:
-        if not hot and depth >= self.queue_threshold:
-            return "defer"
-        return "admit"
+    shed = "defer"
 
 
 class PriorityPolicy(AdmissionPolicy):
@@ -221,9 +217,6 @@ class PriorityPolicy(AdmissionPolicy):
     yields to all queued work (background lane).  Never drops."""
 
     kind = "priority"
-
-    def decide(self, hot: bool, depth: int) -> str:
-        return "admit"
 
 
 _POLICY_CLASSES = {

@@ -27,9 +27,10 @@ oldest resident task onto the coldest shard — the digest-keyed decode
 cache entry travels with it, so the re-place is a warm hit, not a
 replay.
 
-:func:`simulate_fleet` replays one workload trace across the fleet with
-one virtual FIFO reconfiguration server per shard (the open-loop model
-of :class:`~repro.runtime.workload.WorkloadSimulator`, k-way); the
+Every replay runs on a fleet:
+:class:`~repro.runtime.workload.WorkloadSimulator` replays a single
+manager as a fleet of one.  Each shard's open-loop clock is a
+:class:`ServerBank` of k virtual FIFO reconfiguration servers; the
 report carries both per-shard and fleet-wide latency/queue/utilization
 sections.
 """
@@ -37,8 +38,9 @@ sections.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+import heapq
+from bisect import bisect_left, bisect_right, insort
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import RuntimeManagementError
 from repro.runtime.controller import ResidentTask
@@ -63,6 +65,57 @@ def validate_fleet_request(shards: int, router: str) -> None:
     if router not in ROUTER_KINDS:
         raise RuntimeManagementError(
             f"unknown placement router {router!r}; known: {ROUTER_KINDS}"
+        )
+
+
+def validate_replay_request(
+    servers: int = 1,
+    open_loop: bool = True,
+    policy: bool = False,
+    fleet: bool = False,
+    migrate_backlog: Optional[int] = None,
+) -> None:
+    """Reject a bad replay configuration, wherever it is first known.
+
+    The one home of the server-count, admission and migration rules:
+    the simulator, the fleet and the scenario harnesses call it with
+    whatever they know (``open_loop`` stays True until a trace or an
+    arrival process says otherwise), so a bad request fails before any
+    synthesis.  ``policy`` is whether an admission policy is armed and
+    ``fleet`` whether the replay is sharded (``shards >= 2``, or a
+    :class:`FleetManager` handed to the simulator).
+    """
+    if servers < 1:
+        raise RuntimeManagementError(
+            f"server count must be at least 1 (got {servers})"
+        )
+    if policy and not open_loop:
+        raise RuntimeManagementError(
+            "admission policies need an open-loop trace (closed-loop "
+            "replays have no arrival clock; pass arrivals='poisson')"
+        )
+    if policy and fleet:
+        raise RuntimeManagementError(
+            "admission policies apply to single-fabric runs and "
+            "single-manager replays (fleet admission is routed per "
+            "shard, not at one door)"
+        )
+    if migrate_backlog is None:
+        return
+    if migrate_backlog < 1:
+        raise RuntimeManagementError(
+            "migration backlog threshold must be at least one cycle"
+        )
+    if not fleet:
+        raise RuntimeManagementError(
+            "migrate_backlog needs a fleet (shards >= 2) to migrate "
+            "between"
+        )
+    if not open_loop:
+        raise RuntimeManagementError(
+            "migrate_backlog needs an open-loop trace (closed-loop "
+            "replays have no backlog clock, so saturation migration "
+            "would silently never fire; pass arrivals='poisson')"
         )
 
 
@@ -122,9 +175,10 @@ class LoadAwareRouter:
 
     def choose(self, task: str, fleet: "FleetManager") -> int:
         def coldness(shard: int):
-            recorded = fleet.recorded[shard]
+            bank = fleet.banks[shard]
+            recorded = bank.latencies
             store = fleet.policy_store
-            depth = fleet.queue_depths[shard]
+            depth = len(bank.in_flight)
             if store is not None:
                 measured = store.has_samples(False, depth)
                 predicted = store.expected_latency(False, depth)
@@ -136,7 +190,7 @@ class LoadAwareRouter:
                 fleet.backlog(shard),
                 len(fleet.shards[shard].controller.resident),
                 sum(recorded) / len(recorded) if recorded else 0.0,
-                fleet.serviced[shard],
+                len(recorded),
                 shard,
             )
 
@@ -151,6 +205,133 @@ def make_router(router: "str | object", n_shards: int):
     if router == "hash":
         return ConsistentHashRouter(n_shards)
     return LoadAwareRouter()
+
+
+class ServerBank:
+    """One shard's virtual reconfiguration servers and replay samples.
+
+    The open-loop clock of a replay: a min-heap of the k servers'
+    free times, the sorted finish times of the requests still in
+    flight, the per-request latency/queue-wait/phase samples, the
+    depth and busy-time totals, and the event counters of the shard.
+    A request's first timed event starts on the earliest-free server
+    (the latest-free one on the priority policy's background lane) at
+    ``max(arrival, free time)``; every later event of the request runs
+    back-to-back on the server the request holds.
+    """
+
+    def __init__(self, servers: int = 1, task_names: Sequence[str] = ()):
+        self.server_free: List[int] = [0] * servers  # min-heap
+        self.in_flight: List[int] = []  # request finish times, sorted
+        self.latencies: List[int] = []
+        self.queue_waits: List[int] = []
+        self.phases: Dict[str, List[int]] = {
+            "fetch": [], "decode": [], "write": [],
+        }
+        self.depth_sum = 0
+        self.max_depth = 0
+        self.arrivals = 0
+        self.busy = 0
+        self.makespan = 0
+        self.state = {
+            "counts": {
+                "loads": 0, "unloads": 0, "migrations": 0,
+                "skipped": 0, "failed_loads": 0, "evictions_for_space": 0,
+            },
+            "cycles": {"fetch": 0, "decode": 0, "write": 0, "total": 0},
+            "load_cache_hits": 0,
+            "bytes_decoded": 0,
+            "per_task": {
+                name: {"loads": 0, "cache_hits": 0, "migrations": 0}
+                for name in task_names
+            },
+        }
+        #: The request being charged, its running finish time and the
+        #: queue depth it met at the door.
+        self.request = None
+        self.finish = 0
+        self.door_depth = 0
+
+    def drain(self, now: int) -> int:
+        """Retire the requests finished by ``now``; return the depth left."""
+        del self.in_flight[:bisect_right(self.in_flight, now)]
+        return len(self.in_flight)
+
+    def charge(
+        self, request, clock_at: int, arrival: int, cost,
+        background: bool = False, store=None, hot: Optional[bool] = None,
+    ) -> None:
+        """Charge one timed event of ``request``, at the door at ``clock_at``.
+
+        ``request=None`` is a one-event request that holds no server
+        afterwards (a cross-shard migration).  A serviced event (``cost``
+        not None) is sampled with its latency measured from ``arrival``,
+        and filed into ``store`` under ``hot`` (the cache hit when None)
+        and the depth its request met at the door.
+        """
+        free = self.server_free
+        in_flight = self.in_flight
+        new = request is None or request != self.request
+        if new:
+            depth = self.drain(clock_at)
+            slot = 0
+            if background:
+                slot = max(range(len(free)), key=lambda i: (free[i], -i))
+            start = max(clock_at, free[slot])
+        else:
+            # A later event reclaims the slot its request holds — unless
+            # a migration claimed that slot meanwhile, in which case it
+            # chains behind the earliest-free server.
+            depth, prev = self.door_depth, self.finish
+            if prev in free:
+                slot, start = free.index(prev), prev
+            else:
+                slot, start = 0, max(prev, free[0])
+            i = bisect_left(in_flight, prev)
+            if i < len(in_flight) and in_flight[i] == prev:
+                del in_flight[i]
+        service = cost.total_cycles if cost is not None else 0
+        finish = start + service
+        self.busy += service
+        self.makespan = max(self.makespan, finish)
+        free[slot] = finish
+        heapq.heapify(free)
+        insort(in_flight, finish)
+        if new:
+            self.arrivals += 1
+            self.depth_sum += depth + 1
+            self.max_depth = max(self.max_depth, depth + 1)
+        if request is not None:
+            self.request, self.finish, self.door_depth = request, finish, depth
+        if cost is None:
+            return
+        latency = finish - arrival
+        self.latencies.append(latency)
+        self.queue_waits.append(start - arrival)
+        self.phases["fetch"].append(cost.fetch_cycles)
+        self.phases["decode"].append(cost.decode_cycles)
+        self.phases["write"].append(cost.write_cycles)
+        if store is not None:
+            store.record(
+                cost.cache_hit if hot is None else hot, depth, latency
+            )
+
+    def count(self, op: str, name: str, cost, decoded_bytes: int = 0):
+        """Account one executed reconfiguration (a load or a migration)."""
+        state = self.state
+        key = "loads" if op == "load" else "migrations"
+        per_task = state["per_task"][name]
+        state["counts"][key] += 1
+        per_task[key] += 1
+        cycles = state["cycles"]
+        cycles["fetch"] += cost.fetch_cycles
+        cycles["decode"] += cost.decode_cycles
+        cycles["write"] += cost.write_cycles
+        cycles["total"] += cost.total_cycles
+        if cost.cache_hit:
+            state["load_cache_hits"] += 1
+            per_task["cache_hits"] += 1
+        state["bytes_decoded"] += decoded_bytes
 
 
 class FleetManager:
@@ -196,14 +377,9 @@ class FleetManager:
                     "fleet shards must share one external memory (the "
                     "fleet-scope image and dictionary store)"
                 )
-        if migrate_backlog is not None and migrate_backlog < 1:
-            raise RuntimeManagementError(
-                "migration backlog threshold must be at least one cycle"
-            )
-        if servers < 1:
-            raise RuntimeManagementError(
-                f"server count must be at least 1 (got {servers})"
-            )
+        validate_replay_request(
+            servers, fleet=True, migrate_backlog=migrate_backlog
+        )
         self.shards = managers
         self.memory = memory
         self.router = make_router(router, len(managers))
@@ -219,17 +395,10 @@ class FleetManager:
         #: bookkeeping requests (unload/migrate) for a task not resident
         #: anywhere are routed (and counted) at its last home.
         self.task_shard: Dict[str, int] = {}
-        #: Virtual-clock state recorded by the open-loop replay (and read
-        #: back by the load-aware router): current time, per-shard server
-        #: free times (a k-entry min-heap per shard), per-shard recorded
-        #: latencies, serviced counts and last observed queue depths.
+        #: Virtual-clock state of the current replay (read back by the
+        #: load-aware router): fleet time and one server bank per shard.
         self.now = 0
-        self.server_free: List[List[int]] = [
-            [0] * servers for _ in managers
-        ]
-        self.recorded: List[List[int]] = [[] for _ in managers]
-        self.serviced = [0] * len(managers)
-        self.queue_depths = [0] * len(managers)
+        self.banks = [ServerBank(servers) for _ in managers]
         self.cross_migrations = 0
         #: Fleet-scope shared-dictionary lifecycle counters (see class
         #: docstring); updated by :meth:`sync_shared_dicts`.
@@ -244,21 +413,21 @@ class FleetManager:
 
     def backlog(self, shard: int) -> int:
         """Cycles until ``shard``'s earliest server frees, at fleet time."""
-        return max(0, min(self.server_free[shard]) - self.now)
+        return max(0, self.banks[shard].server_free[0] - self.now)
+
+    def start_replay(self, task_names: Sequence[str]) -> None:
+        """Fresh server banks at time 0, and a baselined table roll-up."""
+        self.now = 0
+        self.banks = [
+            ServerBank(self.servers, task_names) for _ in self.shards
+        ]
+        self.sync_shared_dicts()
 
     # -- fleet-scope publishing (the shared external memory) -----------------------
-
-    def store_vbs(self, name, vbs):
-        """Publish a VBS once, fleet-wide (every shard resolves it)."""
-        return self.shards[0].controller.store_vbs(name, vbs)
 
     def store_task(self, names, result):
         """Publish a task-scope encode (containers + shared table) once."""
         return self.shards[0].controller.store_task(names, result)
-
-    def store_raw(self, name, raw):
-        """Publish a raw bitstream once, fleet-wide."""
-        return self.shards[0].controller.store_raw(name, raw)
 
     # -- routing and task lifecycle ------------------------------------------------
 
@@ -279,6 +448,17 @@ class FleetManager:
         if resident is not None:
             return resident
         return self.router.choose(name, self)
+
+    def home(self, name: str) -> int:
+        """The shard a bookkeeping request (unload/migrate) is accounted on.
+
+        Where ``name`` is resident, else its last home (shard 0 for a
+        task never placed).
+        """
+        resident = self.shard_of(name)
+        if resident is not None:
+            return resident
+        return self.task_shard.get(name, 0)
 
     def place_task(
         self, name: str, evict: bool = True
@@ -353,10 +533,7 @@ class FleetManager:
 
     def resident_shared_dicts(self) -> Set[int]:
         """Tables resident on at least one shard (the fleet-level view)."""
-        resident: Set[int] = set()
-        for mgr in self.shards:
-            resident.update(mgr.controller.shared_dicts)
-        return resident
+        return set(self.shared_dict_refcounts())
 
     def shared_dict_refcounts(self) -> Dict[int, int]:
         """Referencing-shard count per fleet-resident table."""
@@ -382,27 +559,11 @@ class FleetManager:
             self.max_resident_tables, len(current)
         )
 
-    def utilization(self) -> List[float]:
-        """Per-shard fabric utilization (fraction of covered macros)."""
-        return [mgr.controller.utilization() for mgr in self.shards]
+
+# -- saturation migration ----------------------------------------------------------
 
 
-# -- fleet replay ------------------------------------------------------------------
-
-
-def _route_event(fleet: FleetManager, event) -> int:
-    """The shard an event is processed (and accounted) on."""
-    resident = fleet.shard_of(event.task)
-    if resident is not None:
-        return resident
-    if event.op == "load":
-        return fleet.router.choose(event.task, fleet)
-    # A bookkeeping request for a task resident nowhere: account it at
-    # the task's last home (shard 0 for a task never placed).
-    return fleet.task_shard.get(event.task, 0)
-
-
-def _maybe_migrate(fleet: FleetManager, clocks: List[dict]) -> None:
+def _maybe_migrate(fleet: FleetManager) -> None:
     """One saturation-migration attempt at the current fleet time."""
     if fleet.migrate_backlog is None or fleet.n_shards < 2:
         return
@@ -421,389 +582,10 @@ def _maybe_migrate(fleet: FleetManager, clocks: List[dict]) -> None:
     )
     if victim is None:
         return
-    import heapq
-    from bisect import insort
-
-    task = fleet.migrate_across(victim, cold)
-    # The re-place is real reconfiguration work on the cold shard's
-    # server: charge its cost there (usually a cache hit — the entry
-    # travelled with the task — so fetch+write cycles, zero decode) AND
-    # account it as a request in the cold shard's queue/latency
-    # sections.  Charging the clock without the request bookkeeping
-    # used to under-report queue depth, p99 and serviced counts exactly
-    # when migrations fired.
-    clock = clocks[cold]
-    cost = task.load_cost
-    free = fleet.server_free[cold]
-    start = max(fleet.now, free[0])
-    finish = start + cost.total_cycles
-    heapq.heapreplace(free, finish)
-    clock["busy"] += cost.total_cycles
-    clock["makespan"] = max(clock["makespan"], finish)
-    clock["state"]["counts"]["migrations"] += 1
-    clock["state"]["per_task"][victim]["migrations"] += 1
-    cycles = clock["state"]["cycles"]
-    cycles["fetch"] += cost.fetch_cycles
-    cycles["decode"] += cost.decode_cycles
-    cycles["write"] += cost.write_cycles
-    cycles["total"] += cost.total_cycles
-    if cost.cache_hit:
-        clock["state"]["load_cache_hits"] += 1
-        clock["state"]["per_task"][victim]["cache_hits"] += 1
-    # Request bookkeeping: the migration arrives at the current fleet
-    # time and occupies one cold-shard server like any other request.
-    in_flight = clock["in_flight"]
-    while in_flight and in_flight[0] <= fleet.now:
-        in_flight.pop(0)
-    depth_at_door = len(in_flight)
-    insort(in_flight, finish)
-    clock["arrivals"] += 1
-    depth = len(in_flight)
-    clock["depth_sum"] += depth
-    clock["max_depth"] = max(clock["max_depth"], depth)
-    latency = finish - fleet.now
-    clock["latencies"].append(latency)
-    clock["queue_waits"].append(start - fleet.now)
-    clock["phases"]["fetch"].append(cost.fetch_cycles)
-    clock["phases"]["decode"].append(cost.decode_cycles)
-    clock["phases"]["write"].append(cost.write_cycles)
-    fleet.recorded[cold].append(latency)
-    fleet.serviced[cold] += 1
-    fleet.queue_depths[cold] = depth
-    if fleet.policy_store is not None:
-        fleet.policy_store.record(cost.cache_hit, depth_at_door, latency)
-
-
-def simulate_fleet(
-    fleet: FleetManager,
-    trace,
-    observer: "Optional[Callable]" = None,
-) -> dict:
-    """Replay ``trace`` across the fleet; return the structured report.
-
-    Each shard is one virtual FIFO reconfiguration server (the open-loop
-    model of the single-fabric simulator, k-way): an event routes to its
-    shard, its service time is charged on that shard's clock, and events
-    sharing an arrival stamp *on the same shard* form one request.  The
-    report carries the familiar fleet-wide sections (events, cycles,
-    cache, latency, queue, clock — aggregated) plus a ``fleet`` section
-    (router, migrations, fleet-scope dictionary lifecycle) and a
-    ``shards`` list with every shard's own report sections.
-    """
-    import heapq
-    from bisect import bisect_left, insort
-
-    from repro.runtime.workload import (
-        REPORT_VERSION,
-        apply_trace_event,
-        latency_section,
-        new_sim_state,
-    )
-
-    open_loop = trace.open_loop
-    n = fleet.n_shards
-    servers = fleet.servers
-    if fleet.migrate_backlog is not None and not open_loop:
-        raise RuntimeManagementError(
-            "migrate_backlog needs an open-loop trace (closed-loop "
-            "replays have no backlog clock, so saturation migration "
-            "would silently never fire)"
-        )
-    fleet.sync_shared_dicts()  # baseline the roll-up before the replay
-    base_faults = fleet.fleet_dict_faults
-    base_drops = fleet.fleet_dict_drops
-    cache_base = []
-    for mgr in fleet.shards:
-        cache = mgr.controller.decode_cache
-        cache_base.append(
-            (cache.stats.hits, cache.stats.misses, cache.stats.evictions)
-            if cache
-            else (0, 0, 0)
-        )
-
-    clocks: List[dict] = [
-        {
-            "state": new_sim_state(trace.tasks),
-            "busy": 0,
-            "makespan": 0,
-            "in_flight": [],  # request finish times, sorted
-            "latencies": [],
-            "queue_waits": [],
-            "phases": {"fetch": [], "decode": [], "write": []},
-            "depth_sum": 0,
-            "max_depth": 0,
-            "arrivals": 0,
-            "last_at": None,
-            #: The running finish time of the shard's current request —
-            #: later events of the same arrival chain on the same
-            #: server, and the request's in-flight entry tracks its
-            #: final finish.
-            "cur_finish": 0,
-            "door_depth": 0,
-        }
-        for _ in range(n)
-    ]
-
-    for event in trace.events:
-        if open_loop and event.at is not None:
-            fleet.now = event.at
-        shard = _route_event(fleet, event)
-        clock = clocks[shard]
-        cost = apply_trace_event(fleet.shards[shard], event, clock["state"])
-        if event.op == "load":
-            fleet.task_shard[event.task] = shard
-        if open_loop and event.at is not None:
-            at = event.at
-            new_request = at != clock["last_at"]
-            clock["last_at"] = at
-            in_flight = clock["in_flight"]
-            free = fleet.server_free[shard]
-            if new_request:
-                while in_flight and in_flight[0] <= at:
-                    in_flight.pop(0)
-                clock["door_depth"] = len(in_flight)
-                start = max(at, free[0])
-                slot = 0
-            else:
-                # A later event of the same request runs back-to-back
-                # on the server its first event was dispatched to —
-                # unless a migration claimed that slot meanwhile, in
-                # which case it chains behind the earliest-free server
-                # (the historical scalar-clock behavior at k=1).
-                prev = clock["cur_finish"]
-                if prev in free:
-                    slot = free.index(prev)
-                    start = prev
-                else:
-                    slot = 0
-                    start = max(prev, free[0])
-            service = cost.total_cycles if cost is not None else 0
-            finish = start + service
-            clock["busy"] += service
-            clock["makespan"] = max(clock["makespan"], finish)
-            free[slot] = finish
-            heapq.heapify(free)
-            if new_request:
-                insort(in_flight, finish)
-                clock["arrivals"] += 1
-                depth = len(in_flight)
-                clock["depth_sum"] += depth
-                clock["max_depth"] = max(clock["max_depth"], depth)
-            else:
-                prev = clock["cur_finish"]
-                i = bisect_left(in_flight, prev)
-                if i < len(in_flight) and in_flight[i] == prev:
-                    in_flight.pop(i)
-                insort(in_flight, finish)
-            clock["cur_finish"] = finish
-            fleet.queue_depths[shard] = len(in_flight)
-            if cost is not None:
-                latency = finish - at
-                clock["latencies"].append(latency)
-                clock["queue_waits"].append(start - at)
-                clock["phases"]["fetch"].append(cost.fetch_cycles)
-                clock["phases"]["decode"].append(cost.decode_cycles)
-                clock["phases"]["write"].append(cost.write_cycles)
-                fleet.recorded[shard].append(latency)
-                fleet.serviced[shard] += 1
-                if fleet.policy_store is not None:
-                    fleet.policy_store.record(
-                        cost.cache_hit, clock["door_depth"], latency
-                    )
-            _maybe_migrate(fleet, clocks)
-        fleet.sync_shared_dicts()
-        if observer is not None:
-            observer(event)
-
-    # -- report assembly ---------------------------------------------------------
-
-    def summed(key: str) -> Dict[str, int]:
-        totals: Dict[str, int] = {}
-        for clock in clocks:
-            for field, value in clock["state"][key].items():
-                totals[field] = totals.get(field, 0) + value
-        return totals
-
-    shard_sections = []
-    all_latencies: List[int] = []
-    all_queue_waits: List[int] = []
-    all_phases: Dict[str, List[int]] = {"fetch": [], "decode": [], "write": []}
-    for index, (mgr, clock) in enumerate(zip(fleet.shards, clocks)):
-        ctrl = mgr.controller
-        cache = ctrl.decode_cache
-        hits0, misses0, evictions0 = cache_base[index]
-        hits = (cache.stats.hits - hits0) if cache else 0
-        misses = (cache.stats.misses - misses0) if cache else 0
-        lookups = hits + misses
-        section = {
-            "shard": index,
-            "events": clock["state"]["counts"],
-            "cycles": clock["state"]["cycles"],
-            "load_cache_hits": clock["state"]["load_cache_hits"],
-            "bytes_decoded": clock["state"]["bytes_decoded"],
-            "cache": {
-                "enabled": cache is not None,
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": (hits / lookups) if lookups else 0.0,
-                "evictions": (
-                    (cache.stats.evictions - evictions0) if cache else 0
-                ),
-                "entries": len(cache) if cache else 0,
-                "bytes_in_cache": cache.total_bytes if cache else 0,
-            },
-            "shared_dicts": {
-                "resident_at_end": sorted(ctrl.shared_dicts),
-            },
-            "fabric": {
-                "width": ctrl.fabric.width,
-                "height": ctrl.fabric.height,
-                "utilization": ctrl.utilization(),
-                "resident_at_end": sorted(ctrl.resident),
-            },
-        }
-        if open_loop:
-            section["latency"] = latency_section(
-                clock["latencies"], clock["queue_waits"], clock["phases"]
-            )
-            section["queue"] = {
-                "arrivals": clock["arrivals"],
-                "max_depth": clock["max_depth"],
-                "mean_depth": (
-                    clock["depth_sum"] / clock["arrivals"]
-                    if clock["arrivals"]
-                    else 0.0
-                ),
-            }
-            section["clock"] = {
-                "makespan": clock["makespan"],
-                "busy_cycles": clock["busy"],
-                "utilization": (
-                    clock["busy"] / (servers * clock["makespan"])
-                    if clock["makespan"]
-                    else 0.0
-                ),
-            }
-            if servers > 1:
-                section["clock"]["servers"] = servers
-        shard_sections.append(section)
-        all_latencies.extend(clock["latencies"])
-        all_queue_waits.extend(clock["queue_waits"])
-        for phase in all_phases:
-            all_phases[phase].extend(clock["phases"][phase])
-
-    agg_cache = {
-        "enabled": any(s["cache"]["enabled"] for s in shard_sections),
-        "hits": sum(s["cache"]["hits"] for s in shard_sections),
-        "misses": sum(s["cache"]["misses"] for s in shard_sections),
-        "evictions": sum(s["cache"]["evictions"] for s in shard_sections),
-        "entries": sum(s["cache"]["entries"] for s in shard_sections),
-        "bytes_in_cache": sum(
-            s["cache"]["bytes_in_cache"] for s in shard_sections
-        ),
-    }
-    lookups = agg_cache["hits"] + agg_cache["misses"]
-    agg_cache["hit_rate"] = (
-        agg_cache["hits"] / lookups if lookups else 0.0
-    )
-
-    per_task: Dict[str, Dict[str, int]] = {}
-    for clock in clocks:
-        for name, counters in clock["state"]["per_task"].items():
-            merged = per_task.setdefault(
-                name, {"loads": 0, "cache_hits": 0, "migrations": 0}
-            )
-            for field, value in counters.items():
-                merged[field] += value
-
-    refcounts = fleet.shared_dict_refcounts()
-    report = {
-        "report_version": REPORT_VERSION,
-        "trace": {
-            "kind": trace.kind,
-            "seed": trace.seed,
-            "length": len(trace.events),
-            "tasks": list(trace.tasks),
-        },
-        "fleet": {
-            "shards": n,
-            "router": fleet.router.name,
-            "cross_migrations": fleet.cross_migrations,
-            "migrate_backlog": fleet.migrate_backlog,
-            # Explicit, so a report can never silently claim migration
-            # coverage a closed-loop replay would not have delivered.
-            "migrations_armed": (
-                fleet.migrate_backlog is not None and open_loop
-            ),
-            "shared_dicts": {
-                "resident_at_end": sorted(fleet.resident_shared_dicts()),
-                "max_resident": fleet.max_resident_tables,
-                "faults": fleet.fleet_dict_faults - base_faults,
-                "drops": fleet.fleet_dict_drops - base_drops,
-                "referencing_shards": {
-                    str(dict_id): refcounts[dict_id]
-                    for dict_id in sorted(refcounts)
-                },
-            },
-        },
-        "events": summed("counts"),
-        "cache": agg_cache,
-        "cycles": summed("cycles"),
-        "load_cache_hits": sum(
-            clock["state"]["load_cache_hits"] for clock in clocks
-        ),
-        "bytes_decoded": sum(
-            clock["state"]["bytes_decoded"] for clock in clocks
-        ),
-        "per_task": {name: per_task[name] for name in sorted(per_task)},
-        "shared_dicts": {
-            "resident_at_end": sorted(fleet.resident_shared_dicts()),
-            "max_resident": fleet.max_resident_tables,
-            "faults": fleet.fleet_dict_faults - base_faults,
-            "drops": fleet.fleet_dict_drops - base_drops,
-        },
-        "fabric": {
-            "width": fleet.shards[0].controller.fabric.width,
-            "height": fleet.shards[0].controller.fabric.height,
-            "utilization": (
-                sum(fleet.utilization()) / n
-            ),
-            "resident_at_end": sorted(
-                name
-                for mgr in fleet.shards
-                for name in mgr.controller.resident
-            ),
-        },
-        "shards": shard_sections,
-    }
-    if open_loop:
-        report["trace"]["arrivals"] = trace.arrivals
-        report["trace"]["mean_interarrival"] = trace.mean_interarrival
-        if trace.zipf_alpha is not None:
-            report["trace"]["zipf_alpha"] = trace.zipf_alpha
-        report["latency"] = latency_section(
-            all_latencies, all_queue_waits, all_phases
-        )
-        arrivals = sum(clock["arrivals"] for clock in clocks)
-        report["queue"] = {
-            "arrivals": arrivals,
-            "max_depth": max(clock["max_depth"] for clock in clocks),
-            "mean_depth": (
-                sum(clock["depth_sum"] for clock in clocks) / arrivals
-                if arrivals
-                else 0.0
-            ),
-        }
-        makespan = max(clock["makespan"] for clock in clocks)
-        busy = sum(clock["busy"] for clock in clocks)
-        report["clock"] = {
-            "makespan": makespan,
-            "busy_cycles": busy,
-            # n shards x k servers each: a fully-loaded fleet sits at 1.0.
-            "utilization": (
-                busy / (n * servers * makespan) if makespan else 0.0
-            ),
-        }
-        if servers > 1:
-            report["clock"]["servers"] = servers
-    return report
+    # The re-place is real reconfiguration work on the cold shard: a
+    # one-event request on its earliest-free server (usually a warm hit —
+    # the cache entry travelled with the task — so zero decode cycles).
+    cost = fleet.migrate_across(victim, cold).load_cost
+    bank = fleet.banks[cold]
+    bank.charge(None, fleet.now, fleet.now, cost, store=fleet.policy_store)
+    bank.count("migrate", victim, cost)

@@ -47,12 +47,21 @@ percentiles (p50/p95/p99), queue depths and per-phase breakdowns; see
 
 from __future__ import annotations
 
+import heapq
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RuntimeManagementError
+from repro.runtime.admission import make_policy
+from repro.runtime.fleet import (
+    FleetManager,
+    ServerBank,
+    _maybe_migrate,
+    validate_replay_request,
+)
 from repro.runtime.manager import FIRST_FIT, FabricManager
 
 #: Supported arrival mixes of :func:`generate_trace`.
@@ -270,46 +279,22 @@ def _expanded_bytes(manager: FabricManager, image) -> int:
     return expanded_image_bytes(image.width, image.height, nraw)
 
 
-def _charge(totals: Dict[str, int], cost) -> None:
-    totals["fetch"] += cost.fetch_cycles
-    totals["decode"] += cost.decode_cycles
-    totals["write"] += cost.write_cycles
-    totals["total"] += cost.total_cycles
-
-
-def new_sim_state(task_names: Sequence[str]) -> dict:
-    """A fresh per-replay accumulator (one per shard in fleet runs)."""
-    return {
-        "counts": {
-            "loads": 0, "unloads": 0, "migrations": 0,
-            "skipped": 0, "failed_loads": 0, "evictions_for_space": 0,
-        },
-        "cycles": {"fetch": 0, "decode": 0, "write": 0, "total": 0},
-        "load_cache_hits": 0,
-        "bytes_decoded": 0,
-        "per_task": {
-            name: {"loads": 0, "cache_hits": 0, "migrations": 0}
-            for name in task_names
-        },
-    }
-
-
-def apply_trace_event(manager: FabricManager, event: TraceEvent, state: dict):
+def apply_trace_event(
+    manager: FabricManager, event: TraceEvent, bank: ServerBank
+):
     """Process one trace event on ``manager``; returns the cost or None.
 
-    The single definition of the simulator's arrival policy, shared by
-    the one-fabric :class:`WorkloadSimulator` replay and the fleet's
-    per-shard replay (:mod:`repro.runtime.fleet`).  The return value is
-    the :class:`~repro.runtime.costmodel.LoadCost` of a reconfiguration
-    request that actually executed (a load or a migration) — what the
-    open-loop clock charges as service time.  Skipped, failed and unload
-    events return None (an unload is a zero-service bookkeeping request
-    in this model: clearing a region is not metered by the cost model).
+    The single definition of the simulator's arrival policy, accounted
+    on the shard's :class:`~repro.runtime.fleet.ServerBank`.  The return
+    value is the :class:`~repro.runtime.costmodel.LoadCost` of a
+    reconfiguration request that actually executed (a load or a
+    migration) — what the open-loop clock charges as service time.
+    Skipped, failed and unload events return None (an unload is a
+    zero-service bookkeeping request in this model: clearing a region
+    is not metered by the cost model).
     """
-    mgr = manager
-    ctrl = mgr.controller
-    counts = state["counts"]
-    per_task = state["per_task"]
+    ctrl = manager.controller
+    counts = bank.state["counts"]
     name = event.task
     if event.op == "load":
         if name in ctrl.resident:
@@ -322,52 +307,40 @@ def apply_trace_event(manager: FabricManager, event: TraceEvent, state: dict):
         # The manager's own eviction policy (make_room returns []
         # when a region is already free), kept visible here only
         # because the report counts the victims.
-        evicted = mgr.make_room(image.width, image.height)
+        evicted = manager.make_room(image.width, image.height)
         if evicted is None:
             counts["failed_loads"] += 1
             return None
         counts["evictions_for_space"] += len(evicted)
         counts["unloads"] += len(evicted)
-        task = mgr.place_task(name)
-        counts["loads"] += 1
-        per_task[name]["loads"] += 1
-        _charge(state["cycles"], task.load_cost)
-        if task.load_cost.cache_hit:
-            state["load_cache_hits"] += 1
-            per_task[name]["cache_hits"] += 1
-        elif image.kind == "vbs":
-            state["bytes_decoded"] += _expanded_bytes(mgr, image)
-        return task.load_cost
-    if event.op == "unload":
+        cost = manager.place_task(name).load_cost
+    elif event.op == "unload":
         if name not in ctrl.resident:
             counts["skipped"] += 1
             return None
         ctrl.unload_task(name)
         counts["unloads"] += 1
         return None
-    if event.op == "migrate":
+    elif event.op == "migrate":
         resident = ctrl.resident.get(name)
         if resident is None:
             counts["skipped"] += 1
             return None
         region = resident.region
-        target = mgr.find_origin(region.w, region.h, ignore=name)
+        target = manager.find_origin(region.w, region.h, ignore=name)
         if target is None or target == (region.x, region.y):
             counts["skipped"] += 1
             return None
         moved = ctrl.migrate_task(name, target)
-        counts["migrations"] += 1
-        per_task[name]["migrations"] += 1
-        _charge(state["cycles"], moved.load_cost)
-        if moved.load_cost.cache_hit:
-            state["load_cache_hits"] += 1
-            per_task[name]["cache_hits"] += 1
-        elif moved.image.kind == "vbs":
-            # A migration that misses the cache replays the
-            # decoder just like a load miss does.
-            state["bytes_decoded"] += _expanded_bytes(mgr, moved.image)
-        return moved.load_cost
-    raise RuntimeManagementError(f"unknown trace op {event.op!r}")
+        image, cost = moved.image, moved.load_cost
+    else:
+        raise RuntimeManagementError(f"unknown trace op {event.op!r}")
+    # A load or migration that misses the cache replays the decoder.
+    decoded = 0
+    if not cost.cache_hit and image.kind == "vbs":
+        decoded = _expanded_bytes(manager, image)
+    bank.count(event.op, name, cost, decoded)
+    return cost
 
 
 def latency_section(
@@ -440,6 +413,129 @@ def _request_subject(manager: FabricManager, events) -> Tuple[str, bool]:
     return subject, False
 
 
+def _trace_header(trace: WorkloadTrace) -> dict:
+    header = {
+        "kind": trace.kind,
+        "seed": trace.seed,
+        "length": len(trace.events),
+        "tasks": list(trace.tasks),
+    }
+    if trace.open_loop:
+        header["arrivals"] = trace.arrivals
+        header["mean_interarrival"] = trace.mean_interarrival
+        if trace.zipf_alpha is not None:
+            header["zipf_alpha"] = trace.zipf_alpha
+    return header
+
+
+def _cache_counters(ctrl) -> Tuple[int, int, int]:
+    cache = ctrl.decode_cache
+    if cache is None:
+        return 0, 0, 0
+    return cache.stats.hits, cache.stats.misses, cache.stats.evictions
+
+
+def _summed(dicts) -> Dict[str, int]:
+    totals: Dict[str, int] = {}
+    for counters in dicts:
+        for field, value in counters.items():
+            totals[field] = totals.get(field, 0) + value
+    return totals
+
+
+def _section(
+    fleet: FleetManager, shards: Sequence[int], cache_bases, open_loop: bool
+) -> dict:
+    """The report sections over ``shards`` — one shard, or the fleet.
+
+    Counters and samples come from the shards' server banks; cache,
+    table and fabric state from their controllers.
+    """
+    banks = [fleet.banks[i] for i in shards]
+    ctrls = [fleet.shards[i].controller for i in shards]
+    caches = [ctrl.decode_cache for ctrl in ctrls]
+    deltas = [
+        [now - base for now, base in zip(_cache_counters(ctrl), bases)]
+        for ctrl, bases in zip(ctrls, (cache_bases[i] for i in shards))
+    ]
+    hits, misses, evictions = (sum(column) for column in zip(*deltas))
+    lookups = hits + misses
+    section = {
+        "events": _summed(bank.state["counts"] for bank in banks),
+        "cycles": _summed(bank.state["cycles"] for bank in banks),
+        "load_cache_hits": sum(b.state["load_cache_hits"] for b in banks),
+        "bytes_decoded": sum(bank.state["bytes_decoded"] for bank in banks),
+        "cache": {
+            "enabled": any(cache is not None for cache in caches),
+            "hits": hits,
+            "misses": misses,
+            "hit_rate": (hits / lookups) if lookups else 0.0,
+            "evictions": evictions,
+            "entries": sum(len(cache) for cache in caches if cache),
+            "bytes_in_cache": sum(
+                cache.total_bytes for cache in caches if cache
+            ),
+        },
+        "shared_dicts": {
+            "resident_at_end": sorted(
+                set().union(*(ctrl.shared_dicts for ctrl in ctrls))
+            ),
+        },
+        "fabric": {
+            "width": ctrls[0].fabric.width,
+            "height": ctrls[0].fabric.height,
+            "utilization": (
+                sum(ctrl.utilization() for ctrl in ctrls) / len(ctrls)
+            ),
+            "resident_at_end": sorted(
+                name for ctrl in ctrls for name in ctrl.resident
+            ),
+        },
+    }
+    if not open_loop:
+        return section
+    arrivals = sum(bank.arrivals for bank in banks)
+    makespan = max(bank.makespan for bank in banks)
+    busy = sum(bank.busy for bank in banks)
+    section["latency"] = latency_section(
+        [x for bank in banks for x in bank.latencies],
+        [x for bank in banks for x in bank.queue_waits],
+        {
+            phase: [x for bank in banks for x in bank.phases[phase]]
+            for phase in ("fetch", "decode", "write")
+        },
+    )
+    section["queue"] = {
+        "arrivals": arrivals,
+        "max_depth": max(bank.max_depth for bank in banks),
+        "mean_depth": (
+            sum(bank.depth_sum for bank in banks) / arrivals
+            if arrivals
+            else 0.0
+        ),
+    }
+    section["clock"] = {
+        "makespan": makespan,
+        "busy_cycles": busy,
+        # n shards x k servers each: a fully-loaded fleet sits at 1.0.
+        "utilization": (
+            busy / (len(banks) * fleet.servers * makespan)
+            if makespan
+            else 0.0
+        ),
+    }
+    if fleet.servers > 1:
+        section["clock"]["servers"] = fleet.servers
+    return section
+
+
+def _per_task(fleet: FleetManager) -> dict:
+    return {
+        name: _summed(bank.state["per_task"][name] for bank in fleet.banks)
+        for name in sorted(fleet.banks[0].state["per_task"])
+    }
+
+
 class WorkloadSimulator:
     """Replay a :class:`WorkloadTrace` through a :class:`FabricManager`.
 
@@ -452,16 +548,16 @@ class WorkloadSimulator:
 
     Open-loop traces (events stamped with arrival timestamps) are run
     through a virtual clock: the reconfiguration controller is a bank
-    of ``servers`` parallel FIFO servers (default 1 — the historical
-    single-server model, byte-identical reports), a request's *service
-    time* is its cost-model cycle total, it starts at ``max(arrival,
-    earliest server-free time)`` (the difference is its *queueing
-    delay*), and its *latency* is ``finish - arrival``.  The report
-    then carries p50/p95/p99 latency, queue depths sampled at every
-    arrival, per-phase (fetch/decode/write) percentiles and the clock's
-    makespan, with utilization normalized by the server count — the
-    numbers a production deployment is sized by.  Closed-loop reports
-    are unchanged (the open-loop keys are simply absent).
+    of ``servers`` parallel FIFO servers (default 1), a request's
+    *service time* is its cost-model cycle total, it starts at
+    ``max(arrival, earliest server-free time)`` (the difference is its
+    *queueing delay*), and its *latency* is ``finish - arrival``.
+    Events sharing an arrival stamp form one request.  The report then
+    carries p50/p95/p99 latency, queue depths sampled at every arrival,
+    per-phase (fetch/decode/write) percentiles and the clock's makespan,
+    with utilization normalized by the server count — the numbers a
+    production deployment is sized by.  Closed-loop reports skip the
+    clock (the open-loop keys are simply absent).
 
     ``policy`` arms admission control at the arrival door (a
     :data:`~repro.runtime.admission.POLICY_KINDS` name or an
@@ -480,43 +576,37 @@ class WorkloadSimulator:
     intermediate state, not just at the end of the replay.
 
     ``fleet`` (instead of ``manager``) replays the trace across a
-    sharded :class:`~repro.runtime.fleet.FleetManager` with one virtual
-    reconfiguration server bank per shard; the report then carries
-    per-shard *and* fleet-wide sections (see
-    :mod:`repro.runtime.fleet`).  A fleet's server count lives on the
-    :class:`FleetManager` itself, so ``servers``/``policy`` here apply
-    to single-manager replays only.
+    sharded :class:`~repro.runtime.fleet.FleetManager`; the report then
+    carries per-shard *and* fleet-wide sections.  A single manager
+    replays as a fleet of one on the same engine: every event routes to
+    its shard and is charged on that shard's
+    :class:`~repro.runtime.fleet.ServerBank`, and saturation migration
+    is tried after every timed event.  A fleet's server count lives on
+    the :class:`FleetManager` itself, so ``servers``/``policy`` here
+    apply to single-manager replays only.
     """
 
     def __init__(
         self,
         manager: "Optional[FabricManager]" = None,
         observer: "Optional[Callable[[TraceEvent], None]]" = None,
-        fleet=None,
+        fleet: "Optional[FleetManager]" = None,
         servers: int = 1,
         policy=None,
         queue_threshold: int = 4,
     ):
-        from repro.runtime.admission import make_policy
-
         if (manager is None) == (fleet is None):
             raise RuntimeManagementError(
                 "WorkloadSimulator needs exactly one of manager= or fleet="
             )
-        if servers < 1:
-            raise RuntimeManagementError(
-                f"server count must be at least 1 (got {servers})"
-            )
         resolved = make_policy(policy, queue_threshold=queue_threshold)
+        validate_replay_request(
+            servers, policy=resolved is not None, fleet=fleet is not None
+        )
         if fleet is not None and servers != 1:
             raise RuntimeManagementError(
                 "a fleet's server count is set on the FleetManager "
                 "(servers= here applies to single-manager replays)"
-            )
-        if fleet is not None and resolved is not None:
-            raise RuntimeManagementError(
-                "admission policies apply to single-manager replays "
-                "(fleet admission is routed per shard, not at one door)"
             )
         self.manager = manager
         self.fleet = fleet
@@ -524,280 +614,181 @@ class WorkloadSimulator:
         self.servers = servers
         self.policy = resolved
 
-    # -- event handlers ---------------------------------------------------------
-
-    def _apply_event(self, event: TraceEvent, state: dict):
-        return apply_trace_event(self.manager, event, state)
-
     def run(self, trace: WorkloadTrace) -> dict:
         """Replay ``trace``; return the structured report (JSON-safe)."""
-        import heapq
-        from bisect import insort
-
-        if self.fleet is not None:
-            from repro.runtime.fleet import simulate_fleet
-
-            return simulate_fleet(
-                self.fleet, trace, observer=self.observer
-            )
-
-        mgr = self.manager
-        ctrl = mgr.controller
-        cache = ctrl.decode_cache
+        fleet = self.fleet
+        if fleet is None:
+            fleet = FleetManager([self.manager], servers=self.servers)
         policy = self.policy
-        if policy is not None and not trace.open_loop:
-            raise RuntimeManagementError(
-                "admission policies need an open-loop trace "
-                "(closed-loop replays have no arrival clock)"
-            )
-        base_hits = cache.stats.hits if cache else 0
-        base_misses = cache.stats.misses if cache else 0
-        base_evictions = cache.stats.evictions if cache else 0
-        base_dict_faults = ctrl.shared_dict_faults
-        base_dict_drops = ctrl.shared_dict_drops
-
-        state = new_sim_state(trace.tasks)
-
-        # Virtual clock of the open-loop model: a bank of ``servers``
-        # FIFO reconfiguration servers (a min-heap of server-free
-        # times), service times from the cost model.  Events sharing a
-        # timestamp form one *request* (the generator stamps a load and
-        # the eviction unloads preceding it with the arrival's time, and
-        # distinct arrivals always get distinct stamps — gaps are >= 1
-        # cycle), so queue depth and the arrival count are per-request;
-        # a request's events run back-to-back on the one server it was
-        # dispatched to.  With k > 1, requests finish out of arrival
-        # order, so the in-flight finish times live in a sorted list
-        # rather than the historical monotone deque.
+        observer = self.observer
         open_loop = trace.open_loop
-        servers = self.servers
-        server_free: List[int] = [0] * servers  # min-heap of free times
-        busy_cycles = 0
-        makespan = 0
-        in_flight: List[int] = []  # request finish times, sorted
-        latencies: List[int] = []
-        queue_waits: List[int] = []
-        phase_samples: Dict[str, List[int]] = {
-            "fetch": [], "decode": [], "write": [],
-        }
-        depth_sum = 0
-        max_depth = 0
-        arrivals_seen = 0
-        admitted = 0
-        deferred = 0
-        dropped = 0
-        lane_counts = {"hot": 0, "cold": 0}
-        max_resident_tables = len(ctrl.shared_dicts)
+        validate_replay_request(
+            open_loop=open_loop,
+            policy=policy is not None,
+            fleet=self.fleet is not None,
+            migrate_backlog=fleet.migrate_backlog,
+        )
+        cache_bases = [_cache_counters(m.controller) for m in fleet.shards]
+        ctrl0 = fleet.shards[0].controller
+        base_dict_faults = ctrl0.shared_dict_faults
+        base_dict_drops = ctrl0.shared_dict_drops
+        fleet.start_replay(trace.tasks)
+        base_faults = fleet.fleet_dict_faults
+        base_drops = fleet.fleet_dict_drops
+        banks = fleet.banks
+        # Serviced requests are filed under the door's temperature when
+        # admission runs, else under whether the reconfiguration hit.
+        store = policy.store if policy is not None else fleet.policy_store
+        admission = {"admitted": 0, "deferred": 0, "dropped": 0,
+                     "lanes": {"hot": 0, "cold": 0}}
 
-        def _apply(event: TraceEvent):
-            nonlocal max_resident_tables
-            cost = self._apply_event(event, state)
-            max_resident_tables = max(
-                max_resident_tables, len(ctrl.shared_dicts)
-            )
-            if self.observer is not None:
-                self.observer(event)
-            return cost
+        def process(event, request=None, clock_at=0, hot=None,
+                    background=False):
+            name = event.task
+            if event.op == "load":
+                shard = fleet.route(name)
+                fleet.task_shard[name] = shard
+            else:
+                shard = fleet.home(name)
+            bank = banks[shard]
+            cost = apply_trace_event(fleet.shards[shard], event, bank)
+            if request is not None and event.at is not None:
+                bank.charge(
+                    request, clock_at, event.at, cost, background, store, hot
+                )
+                _maybe_migrate(fleet)
+            fleet.sync_shared_dicts()
+            if observer is not None:
+                observer(event)
 
-        # Deferred request groups awaiting re-admission:
-        # (retry_at, seq, original arrival, events, attempts so far).
+        # Deferred requests awaiting re-admission:
+        # (retry_at, seq, events, attempts so far).
         pending: List[tuple] = []
-        seq = 0
 
-        def _dispatch(arrival: int, clock_at: int, events, defers: int):
-            """Admit (or drop/defer) one request group arriving now.
+        def dispatch(clock_at: int, events, defers: int) -> None:
+            """Admit (or drop/defer) one request at the door at ``clock_at``.
 
-            ``arrival`` is the group's original trace stamp — latency
-            and queueing are measured against it, so deferral delay
-            shows up as queueing, honestly.  ``clock_at`` is when the
-            group is at the door (later than ``arrival`` for retries).
+            Latency and queueing are measured against the events' own
+            arrival stamp, so deferral delay shows up as queueing.
             """
-            nonlocal seq, admitted, deferred, dropped, arrivals_seen
-            nonlocal depth_sum, max_depth, busy_cycles, makespan
-            while in_flight and in_flight[0] <= clock_at:
-                in_flight.pop(0)
-            door_depth = len(in_flight)
-            hot = True
+            fleet.now = clock_at
+            hot = None
             if policy is not None:
-                _subject, hot = _request_subject(mgr, events)
-                decision = policy.decide(hot, door_depth)
+                door = banks[0]  # admission runs on a fleet of one
+                depth = door.drain(clock_at)
+                _subject, hot = _request_subject(fleet.shards[0], events)
+                decision = policy.decide(hot, depth)
                 if decision == "drop":
                     # The request never reaches the fabric manager.
-                    dropped += 1
+                    admission["dropped"] += 1
                     return
                 if decision == "defer" and defers < policy.max_defers:
-                    deferred += 1
-                    retry_at = max(clock_at + 1, server_free[0])
-                    heapq.heappush(
-                        pending,
-                        (retry_at, seq, arrival, events, defers + 1),
-                    )
-                    seq += 1
+                    retry_at = max(clock_at + 1, door.server_free[0])
+                    heapq.heappush(pending, (
+                        retry_at, admission["deferred"], events, defers + 1,
+                    ))
+                    admission["deferred"] += 1
                     return
-                admitted += 1
-                lane_counts["hot" if hot else "cold"] += 1
+                admission["admitted"] += 1
+                admission["lanes"]["hot" if hot else "cold"] += 1
             # Priority's background lane: a cold request yields to every
             # server's queued work instead of taking the earliest-free
             # slot.  At k=1 both lanes are the same server — plain FIFO.
             background = (
-                policy is not None
-                and policy.kind == "priority"
-                and not hot
+                policy is not None and policy.kind == "priority" and not hot
             )
-            if background:
-                idx = max(
-                    range(servers), key=lambda i: (server_free[i], -i)
-                )
-                cursor = max(clock_at, server_free[idx])
-            else:
-                cursor = max(clock_at, server_free[0])
-            finish = cursor
+            request = object()
             for event in events:
-                cost = _apply(event)
-                if event.at is None:
-                    continue
-                start = cursor
-                service = cost.total_cycles if cost is not None else 0
-                finish = start + service
-                cursor = finish
-                busy_cycles += service
-                makespan = max(makespan, finish)
-                if cost is not None:  # a reconfiguration was serviced
-                    latency = finish - arrival
-                    latencies.append(latency)
-                    queue_waits.append(start - arrival)
-                    phase_samples["fetch"].append(cost.fetch_cycles)
-                    phase_samples["decode"].append(cost.decode_cycles)
-                    phase_samples["write"].append(cost.write_cycles)
-                    if policy is not None:
-                        policy.store.record(hot, door_depth, latency)
-            if background:
-                server_free[idx] = finish
-                heapq.heapify(server_free)
-            else:
-                heapq.heapreplace(server_free, finish)
-            insort(in_flight, finish)
-            arrivals_seen += 1
-            depth = len(in_flight)  # unfinished requests incl. self
-            depth_sum += depth
-            max_depth = max(max_depth, depth)
+                process(event, request, clock_at, hot, background)
 
-        if not open_loop:
-            for event in trace.events:
-                _apply(event)
-        else:
-            # Group consecutive events sharing an arrival stamp into
-            # request groups; untimed events ride with the group they
-            # follow (applied off-clock, the historical behavior).
-            groups: List[tuple] = []
-            cur_at: Optional[int] = None
-            for event in trace.events:
-                if event.at is not None and event.at != cur_at:
-                    cur_at = event.at
-                    groups.append((cur_at, [event]))
-                elif groups:
-                    groups[-1][1].append(event)
-                else:
-                    groups.append((None, [event]))
-            for at, events in groups:
-                if at is None:
-                    for event in events:
-                        _apply(event)
-                    continue
-                while pending and pending[0][0] <= at:
-                    retry_at, _s, orig_at, pev, pdefers = heapq.heappop(
-                        pending
-                    )
-                    _dispatch(orig_at, retry_at, pev, pdefers)
-                _dispatch(at, at, events, 0)
-            while pending:
-                retry_at, _s, orig_at, pev, pdefers = heapq.heappop(
-                    pending
-                )
-                _dispatch(orig_at, retry_at, pev, pdefers)
+        def retry_until(limit: float) -> None:
+            while pending and pending[0][0] <= limit:
+                retry_at, _seq, events, defers = heapq.heappop(pending)
+                dispatch(retry_at, events, defers)
 
-        hits = (cache.stats.hits - base_hits) if cache else 0
-        misses = (cache.stats.misses - base_misses) if cache else 0
-        lookups = hits + misses
+        for at, events in _request_groups(trace):
+            if at is None:
+                for event in events:
+                    process(event)
+                continue
+            retry_until(at)
+            dispatch(at, events, 0)
+        retry_until(math.inf)
+
         report = {
             "report_version": REPORT_VERSION,
-            "trace": {
-                "kind": trace.kind,
-                "seed": trace.seed,
-                "length": len(trace.events),
-                "tasks": list(trace.tasks),
-            },
-            "events": state["counts"],
-            "cache": {
-                "enabled": cache is not None,
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": (hits / lookups) if lookups else 0.0,
-                "evictions": (
-                    (cache.stats.evictions - base_evictions) if cache else 0
-                ),
-                "entries": len(cache) if cache else 0,
-                "bytes_in_cache": cache.total_bytes if cache else 0,
-                "capacity": cache.capacity if cache else 0,
-                "capacity_bytes": (
-                    cache.capacity_bytes if cache else None
-                ),
-            },
-            "cycles": state["cycles"],
-            "load_cache_hits": state["load_cache_hits"],
-            "bytes_decoded": state["bytes_decoded"],
-            "per_task": {
-                name: state["per_task"][name]
-                for name in sorted(state["per_task"])
-            },
-            "shared_dicts": {
-                "resident_at_end": sorted(ctrl.shared_dicts),
-                "max_resident": max_resident_tables,
-                "faults": ctrl.shared_dict_faults - base_dict_faults,
-                "drops": ctrl.shared_dict_drops - base_dict_drops,
-            },
-            "fabric": {
-                "width": ctrl.fabric.width,
-                "height": ctrl.fabric.height,
-                "utilization": ctrl.utilization(),
-                "resident_at_end": sorted(ctrl.resident),
-            },
+            "trace": _trace_header(trace),
+            **_section(fleet, range(fleet.n_shards), cache_bases, open_loop),
+            "per_task": _per_task(fleet),
         }
-        if open_loop:
-            report["trace"]["arrivals"] = trace.arrivals
-            report["trace"]["mean_interarrival"] = trace.mean_interarrival
-            if trace.zipf_alpha is not None:
-                report["trace"]["zipf_alpha"] = trace.zipf_alpha
-            report["latency"] = latency_section(
-                latencies, queue_waits, phase_samples
+        if self.fleet is not None:
+            refcounts = fleet.shared_dict_refcounts()
+            report["shared_dicts"].update(
+                max_resident=fleet.max_resident_tables,
+                faults=fleet.fleet_dict_faults - base_faults,
+                drops=fleet.fleet_dict_drops - base_drops,
             )
-            report["queue"] = {
-                "arrivals": arrivals_seen,
-                "max_depth": max_depth,
-                "mean_depth": (
-                    depth_sum / arrivals_seen if arrivals_seen else 0.0
+            report["fleet"] = {
+                "shards": fleet.n_shards,
+                "router": fleet.router.name,
+                "cross_migrations": fleet.cross_migrations,
+                "migrate_backlog": fleet.migrate_backlog,
+                # Explicit, so a report can never silently claim
+                # migration coverage a closed-loop replay would not have
+                # delivered.
+                "migrations_armed": (
+                    fleet.migrate_backlog is not None and open_loop
                 ),
+                "shared_dicts": {
+                    **report["shared_dicts"],
+                    "referencing_shards": {
+                        str(dict_id): refcounts[dict_id]
+                        for dict_id in sorted(refcounts)
+                    },
+                },
             }
-            report["clock"] = {
-                "makespan": makespan,
-                "busy_cycles": busy_cycles,
-                "utilization": (
-                    busy_cycles / (servers * makespan) if makespan else 0.0
-                ),
+            report["shards"] = [
+                {"shard": i, **_section(fleet, [i], cache_bases, open_loop)}
+                for i in range(fleet.n_shards)
+            ]
+            return report
+        cache = ctrl0.decode_cache
+        report["cache"]["capacity"] = cache.capacity if cache else 0
+        report["cache"]["capacity_bytes"] = (
+            cache.capacity_bytes if cache else None
+        )
+        report["shared_dicts"].update(
+            max_resident=fleet.max_resident_tables,
+            faults=ctrl0.shared_dict_faults - base_dict_faults,
+            drops=ctrl0.shared_dict_drops - base_dict_drops,
+        )
+        if policy is not None:
+            report["admission"] = {
+                "policy": policy.kind,
+                "queue_threshold": policy.queue_threshold,
+                **admission,
+                "store": policy.store.snapshot(),
             }
-            if servers > 1:
-                report["clock"]["servers"] = servers
-            if policy is not None:
-                report["admission"] = {
-                    "policy": policy.kind,
-                    "queue_threshold": policy.queue_threshold,
-                    "admitted": admitted,
-                    "deferred": deferred,
-                    "dropped": dropped,
-                    "lanes": dict(lane_counts),
-                    "store": policy.store.snapshot(),
-                }
         return report
+
+
+def _request_groups(trace: WorkloadTrace) -> List[tuple]:
+    """The trace as ``(arrival stamp, events)`` request groups.
+
+    Consecutive events sharing a stamp form one request; untimed events
+    ride with the group they follow (applied off-clock), and a
+    closed-loop trace is one untimed group.
+    """
+    groups: List[tuple] = []
+    for event in trace.events:
+        timed = trace.open_loop and event.at is not None
+        if timed and (not groups or event.at != groups[-1][0]):
+            groups.append((event.at, [event]))
+        elif groups:
+            groups[-1][1].append(event)
+        else:
+            groups.append((None, [event]))
+    return groups
 
 
 # -- end-to-end scenario harness --------------------------------------------------
@@ -810,19 +801,14 @@ def synthesize_task_images(
     seed: int = 1,
     base_luts: int = 10,
     codecs: "str | Sequence[str] | None" = None,
-    task_scope: bool = False,
-    containers_per_task: int = 2,
 ):
     """Deterministic synthetic task set: (name, VirtualBitstream) pairs.
 
     Each task is a small generated circuit pushed through the full CAD
     flow and vbsgen — real containers with real decode cost, sized to
     stay interactive (a few seconds for the default three tasks).
-
-    ``task_scope=True`` switches to the multi-container ``encode_task``
-    mode and returns :func:`synthesize_task_scope_images`'s group list
-    instead — ``n_tasks`` task groups of ``containers_per_task``
-    containers each, every group sharing one external dictionary.
+    :func:`synthesize_task_scope_images` is the multi-container
+    ``encode_task`` counterpart.
     """
     from repro.arch.params import ArchParams
     from repro.bitstream.expand import expand_routing
@@ -830,15 +816,6 @@ def synthesize_task_images(
     from repro.netlist import CircuitSpec, generate_circuit
     from repro.vbs.encode import encode_flow
 
-    if task_scope:
-        return synthesize_task_scope_images(
-            n_tasks=n_tasks,
-            containers_per_task=containers_per_task,
-            channel_width=channel_width,
-            cluster_size=cluster_size,
-            seed=seed,
-            codecs=codecs if codecs is not None else "auto",
-        )
     params = ArchParams(channel_width=channel_width)
     images = []
     for i in range(n_tasks):
@@ -978,15 +955,8 @@ def run_scenario(
     door (single-fabric open-loop runs; see
     :mod:`repro.runtime.admission`).
     """
-    from repro.arch.fabric import FabricArch
-    from repro.arch.params import ArchParams
-    from repro.runtime.admission import (
-        AdmissionPolicy,
-        validate_policy_request,
-    )
     from repro.runtime.controller import ReconfigurationController
-    from repro.runtime.fleet import FleetManager, validate_fleet_request
-    from repro.runtime.memory import ExternalMemory
+    from repro.runtime.fleet import validate_fleet_request
 
     # Fail on a bad mix/arrival/fleet/policy request before expensive
     # synthesis.
@@ -994,53 +964,27 @@ def run_scenario(
         kind, arrivals, mean_interarrival, zipf_alpha, length=length
     )
     validate_fleet_request(shards, router)
-    if servers < 1:
-        raise RuntimeManagementError(
-            f"server count must be at least 1 (got {servers})"
-        )
-    if isinstance(policy, AdmissionPolicy):
-        # A pre-built policy instance (e.g. sharing one store across
-        # replays) is always armed — even the base admit-everything
-        # policy reports its admission section and records latencies.
-        policy_armed = True
-        policy_name = policy.kind
-    else:
-        policy_armed = policy is not None and policy != "none"
-        policy_name = policy
-        if policy is not None:
-            validate_policy_request(policy, queue_threshold)
-    if policy_armed and arrivals is None:
-        raise RuntimeManagementError(
-            "admission policies need an open-loop trace "
-            "(pass arrivals='poisson')"
-        )
-    if policy_armed and shards > 1:
-        raise RuntimeManagementError(
-            "admission policies apply to single-fabric runs "
-            "(fleet admission is routed per shard, not at one door)"
-        )
-    if migrate_backlog is not None and shards == 1:
-        raise RuntimeManagementError(
-            "migrate_backlog needs a fleet (shards >= 2) to migrate "
-            "between"
-        )
-    if migrate_backlog is not None and arrivals is None:
-        raise RuntimeManagementError(
-            "migrate_backlog needs an open-loop trace "
-            "(closed-loop replays have no backlog clock; "
-            "pass arrivals='poisson')"
-        )
+    # A pre-built policy instance (e.g. sharing one store across
+    # replays) is always armed — even the base admit-everything policy
+    # reports its admission section and records latencies.
+    armed = make_policy(policy, queue_threshold=queue_threshold)
+    validate_replay_request(
+        servers,
+        open_loop=arrivals is not None,
+        policy=armed is not None,
+        fleet=shards > 1,
+        migrate_backlog=migrate_backlog,
+    )
 
     groups = []
     if task_scope:
-        groups = synthesize_task_images(
+        groups = synthesize_task_scope_images(
             n_tasks=n_tasks,
+            containers_per_task=containers_per_task,
             channel_width=channel_width,
             cluster_size=cluster_size,
             seed=seed,
-            codecs=codecs,
-            task_scope=True,
-            containers_per_task=containers_per_task,
+            codecs=codecs if codecs is not None else "auto",
         )
         images = [
             (name, vbs)
@@ -1055,19 +999,7 @@ def run_scenario(
             seed=seed,
             codecs=codecs,
         )
-    max_w = max(vbs.layout.width for _name, vbs in images)
-    max_h = max(vbs.layout.height for _name, vbs in images)
-    fabric_w = max_w + max_w // 2 + 1
-    fabric_h = max_h + 1
-    params = ArchParams(channel_width=channel_width)
-    memory = ExternalMemory()
-
-    def _build_fabric():
-        return FabricArch(
-            params, fabric_w, fabric_h,
-            {(x, y): "clb"
-             for x in range(fabric_w) for y in range(fabric_h)},
-        )
+    build_fabric, memory = _scenario_fabric(images, channel_width)
 
     def _shard_cache_dir(index: int) -> "str | None":
         if cache_dir is None:
@@ -1084,7 +1016,7 @@ def run_scenario(
     managers = []
     for index in range(shards):
         ctrl = ReconfigurationController(
-            _build_fabric(),
+            build_fabric(),
             memory,
             cache_capacity=cache_capacity,
             cache_capacity_bytes=cache_capacity_bytes,
@@ -1116,20 +1048,13 @@ def run_scenario(
         zipf_alpha=zipf_alpha,
     )
     if shards == 1:
-        report = WorkloadSimulator(
-            managers[0],
-            servers=servers,
-            policy=policy,
-            queue_threshold=queue_threshold,
-        ).run(trace)
+        sim = WorkloadSimulator(managers[0], servers=servers, policy=armed)
     else:
-        fleet = FleetManager(
-            managers,
-            router=router,
-            migrate_backlog=migrate_backlog,
+        sim = WorkloadSimulator(fleet=FleetManager(
+            managers, router=router, migrate_backlog=migrate_backlog,
             servers=servers,
-        )
-        report = WorkloadSimulator(fleet=fleet).run(trace)
+        ))
+    report = sim.run(trace)
     report["scenario"] = {
         "n_tasks": n_tasks,
         "channel_width": channel_width,
@@ -1155,8 +1080,8 @@ def run_scenario(
         report["scenario"]["migrate_backlog"] = migrate_backlog
     if servers != 1:
         report["scenario"]["servers"] = servers
-    if policy_armed:
-        report["scenario"]["policy"] = policy_name
+    if armed is not None:
+        report["scenario"]["policy"] = armed.kind
         report["scenario"]["queue_threshold"] = queue_threshold
     if cache_dir is not None:
         for index, manager in enumerate(managers):
@@ -1167,6 +1092,31 @@ def run_scenario(
             if ctrl.decode_memo is not None:
                 ctrl.decode_memo.save(Path(shard_dir) / MEMO_FILE_NAME)
     return report
+
+
+def _scenario_fabric(images, channel_width: int):
+    """An all-CLB fabric factory sized for the images, and a memory.
+
+    The fabric has room for roughly one-and-a-half of the largest task,
+    so eviction pressure is real.
+    """
+    from repro.arch.fabric import FabricArch
+    from repro.arch.params import ArchParams
+    from repro.runtime.memory import ExternalMemory
+
+    max_w = max(vbs.layout.width for _name, vbs in images)
+    max_h = max(vbs.layout.height for _name, vbs in images)
+    width = max_w + max_w // 2 + 1
+    height = max_h + 1
+    params = ArchParams(channel_width=channel_width)
+
+    def build_fabric():
+        return FabricArch(
+            params, width, height,
+            {(x, y): "clb" for x in range(width) for y in range(height)},
+        )
+
+    return build_fabric, ExternalMemory()
 
 
 def sweep_arrival_rates(
@@ -1269,28 +1219,13 @@ def run_sweep_scenario(
     arrival clock draws from its own rng stream), making the knee a
     pure function of the scenario parameters.
     """
-    from repro.arch.fabric import FabricArch
-    from repro.arch.params import ArchParams
-    from repro.runtime.admission import (
-        AdmissionPolicy,
-        validate_policy_request,
-    )
     from repro.runtime.controller import ReconfigurationController
-    from repro.runtime.memory import ExternalMemory
 
     validate_trace_request(
         kind, "poisson", base_interarrival, zipf_alpha, length=length
     )
-    if servers < 1:
-        raise RuntimeManagementError(
-            f"server count must be at least 1 (got {servers})"
-        )
-    if isinstance(policy, AdmissionPolicy):
-        policy_name = policy.kind
-    else:
-        policy_name = policy
-        if policy is not None:
-            validate_policy_request(policy, queue_threshold)
+    armed = make_policy(policy, queue_threshold=queue_threshold)
+    validate_replay_request(servers, policy=armed is not None)
 
     images = synthesize_task_images(
         n_tasks=n_tasks,
@@ -1300,21 +1235,11 @@ def run_sweep_scenario(
         codecs=codecs,
     )
     names = [name for name, _v in images]
-    max_w = max(vbs.layout.width for _name, vbs in images)
-    max_h = max(vbs.layout.height for _name, vbs in images)
-    fabric_w = max_w + max_w // 2 + 1
-    fabric_h = max_h + 1
-    params = ArchParams(channel_width=channel_width)
-    memory = ExternalMemory()
+    build_fabric, memory = _scenario_fabric(images, channel_width)
 
     def _build_controller():
-        fabric = FabricArch(
-            params, fabric_w, fabric_h,
-            {(x, y): "clb"
-             for x in range(fabric_w) for y in range(fabric_h)},
-        )
         return ReconfigurationController(
-            fabric, memory,
+            build_fabric(), memory,
             cache_capacity=cache_capacity,
             memo_entries=memo_entries,
         )
@@ -1324,6 +1249,7 @@ def run_sweep_scenario(
         publisher.store_vbs(name, vbs)
 
     def run_at(gap: int) -> dict:
+        # A name resolves to a fresh policy (and store) per rate.
         manager = FabricManager(_build_controller(), strategy=strategy)
         trace = generate_trace(
             kind, names, length, seed=seed,
@@ -1347,9 +1273,7 @@ def run_sweep_scenario(
         "kind": kind, "seed": seed, "length": length, "tasks": names,
     }
     sweep["servers"] = servers
-    sweep["policy"] = (
-        policy_name if policy_name not in (None, "none") else "none"
-    )
+    sweep["policy"] = armed.kind if armed is not None else "none"
     sweep["scenario"] = {
         "n_tasks": n_tasks,
         "channel_width": channel_width,

@@ -76,8 +76,6 @@ class DecodeMemo:
     encoder's order search never retries a known-bad order.
 
     Callers must treat returned results as immutable (they are shared).
-    Counter updates are approximate under concurrent encoding workers;
-    the decoded output never is.
 
     ``max_entries`` bounds the memo for long-lived owners (the runtime
     controller, a sweep-shared encoder memo): insertion past the bound
@@ -97,15 +95,6 @@ class DecodeMemo:
             tuple,
             Tuple[Optional[DevirtResult], Optional[str]],
         ] = {}
-        #: Guards entry mutations only: the bound is a hard invariant
-        #: even under concurrent thread-pool workers.  Lookups and the
-        #: hit/miss counters stay lock-free (counters are approximate by
-        #: contract; two workers may still both decode a missed key, in
-        #: which case the second insert just overwrites the identical
-        #: deterministic result).
-        import threading
-
-        self._mutate = threading.Lock()
         self.hits = 0
         self.misses = 0
         #: Entries restored from a persisted memo file (``load``).
@@ -116,31 +105,18 @@ class DecodeMemo:
         key: tuple,
         value: Tuple[Optional[DevirtResult], Optional[str]],
     ) -> None:
-        with self._mutate:
-            while (
-                self.max_entries is not None
-                and key not in self._entries
-                and len(self._entries) >= self.max_entries
-            ):
-                victim = next(iter(self._entries), None)
-                if victim is None:
-                    break
-                self._entries.pop(victim, None)
-            self._entries[key] = value
+        while (
+            self.max_entries is not None
+            and key not in self._entries
+            and len(self._entries) >= self.max_entries
+        ):
+            del self._entries[next(iter(self._entries))]
+        self._entries[key] = value
 
     def _refresh(self, key: tuple) -> None:
-        """Move ``key`` to the recent end (bounded memos evict LRU-first).
-
-        Tolerant of the key vanishing between the caller's ``get`` and
-        this pop — concurrent thread-pool workers share one memo, and a
-        racing eviction must cost at most a lost recency refresh, never
-        a crash.
-        """
+        """Move ``key`` to the recent end (bounded memos evict LRU-first)."""
         if self.max_entries is not None:
-            with self._mutate:
-                value = self._entries.pop(key, None)
-                if value is not None:
-                    self._entries[key] = value
+            self._entries[key] = self._entries.pop(key)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -163,8 +139,7 @@ class DecodeMemo:
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with self._mutate:
-            entries = list(self._entries.items())
+        entries = list(self._entries.items())
         payload = {"format": MEMO_FILE_FORMAT, "entries": entries}
         tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
         tmp.write_bytes(pickle.dumps(payload))
@@ -225,8 +200,7 @@ class DecodeMemo:
 
     def snapshot_keys(self) -> frozenset:
         """The keys currently resident — a baseline for :meth:`dump_delta`."""
-        with self._mutate:
-            return frozenset(self._entries)
+        return frozenset(self._entries)
 
     def dump_delta(
         self,
@@ -248,12 +222,11 @@ class DecodeMemo:
         delta left behind by a crashed or killed run can never be folded
         into a later run's memo.
         """
-        with self._mutate:
-            entries = [
-                (key, value)
-                for key, value in self._entries.items()
-                if key not in baseline
-            ]
+        entries = [
+            (key, value)
+            for key, value in self._entries.items()
+            if key not in baseline
+        ]
         if not entries:
             return 0
         path = Path(path)

@@ -346,13 +346,25 @@ class VirtualBitstream:
         run-time controller passes its task-table store).  A container
         that references a shared table fails loudly when no resolver is
         given or the id is unknown: decoding without the table would
-        fabricate logic fields.
+        fabricate logic fields.  A container cut short anywhere raises
+        :class:`VbsError`, like any other malformed input.
         """
+        try:
+            return cls._parse(BitReader(bits), params, shared_dicts)
+        except EOFError as exc:
+            raise VbsError(f"truncated VBS container: {exc}") from exc
+
+    @classmethod
+    def _parse(
+        cls,
+        r: BitReader,
+        params: Optional[ArchParams],
+        shared_dicts: "SharedDictResolver",
+    ) -> "VirtualBitstream":
         from repro.vbs.codecs import codec_by_name, codec_by_tag
 
         from repro.vbs.format import read_prelude
 
-        r = BitReader(bits)
         prelude = read_prelude(r)
         version = prelude.version
         if version not in SUPPORTED_VERSIONS:
@@ -506,7 +518,7 @@ class EncodeContext:
     """Per-run shared inputs of the encode pipeline (picklable).
 
     Sent once per worker process (pool initializer) instead of once per
-    item; the thread/serial drivers pass it by reference.  Codecs travel
+    item; the serial driver passes it by reference.  Codecs travel
     by *name* — registry objects are process-local.
     """
 
@@ -525,7 +537,7 @@ class EncodeContext:
     #: dumps the memo entries it discovered beyond its warm start into
     #: ``merge_dir/worker-<run_id>-<pid>.pkl`` at interpreter exit, and
     #: the parent folds the per-worker deltas into the shared memo after
-    #: the pool shuts down.  ``None`` (thread/serial runs, or no
+    #: the pool shuts down.  ``None`` (serial runs, or no
     #: ``memo_path``) disables the dump.
     merge_dir: Optional[str] = None
     #: Identity of this pool run, stamped into delta file names and
@@ -567,9 +579,9 @@ def _encode_cluster(
     """Encode one cluster work item (order search + codec selection).
 
     Pure with respect to the run: identical items and context produce
-    identical outcomes regardless of which backend executes them, which
-    is what makes the emitted container byte-identical across serial,
-    thread-pool and process-pool drivers.
+    identical outcomes regardless of which driver executes them, which
+    is what makes the emitted container byte-identical across the
+    serial and process-pool drivers.
     """
     from repro.vbs.codecs import pick_codec, resolve_codecs
     from repro.vbs.order import candidate_orders
@@ -733,7 +745,7 @@ PROCESS_CHUNKS_PER_WORKER = 4
 def _chunk_work_items(
     items: Sequence[ClusterWorkItem], workers: int
 ) -> List[Tuple[ClusterWorkItem, ...]]:
-    """Contiguous raster-order chunks for the process backend.
+    """Contiguous raster-order chunks for the process pool.
 
     One executor submission per chunk instead of one per cluster; the
     flattened chunk sequence is exactly ``items``, so the merge stays
@@ -1155,7 +1167,6 @@ def encode_design(
     compact_logic: bool = False,
     codecs: "str | Sequence[str] | None" = None,
     workers: Optional[int] = None,
-    backend: str = "thread",
     memo: Optional[DecodeMemo] = None,
     memo_path: "str | None" = None,
     predictor: "Optional[object]" = None,
@@ -1172,25 +1183,21 @@ def encode_design(
     the guaranteed fallback — a cluster with no decodable order is coded
     raw even when ``"raw"`` is not in the selection (Section III-B's
     correctness guarantee), and a raw-only selection codes every cluster
-    raw.  ``workers`` > 1 drives the per-cluster work items through a
-    worker pool; records come back in raster order and the emitted
-    container is byte-identical to a serial run.
-
-    ``backend`` selects the pool flavor: ``"thread"`` (default; shares
-    the run's :class:`DecodeMemo`, GIL-bound for the pure-Python router)
-    or ``"process"``, which ships picklable :class:`ClusterWorkItem`\\ s
-    to a ``ProcessPoolExecutor`` — real parallelism for the router-heavy
-    order search.  Process workers keep a private per-process memo; the
-    caller-supplied ``memo`` is not consulted for work items on that
-    path (live memos do not cross process boundaries), though with
-    ``memo_path`` set the worker deltas are folded back into it after
-    the pool exits.
+    raw.  ``workers`` > 1 ships picklable :class:`ClusterWorkItem`\\ s
+    to a ``ProcessPoolExecutor`` — real parallelism for the
+    router-heavy order search; anything else runs serially.  Records
+    come back in raster order and the emitted container is
+    byte-identical to a serial run.  Process workers keep a private
+    per-process memo; the caller-supplied ``memo`` is not consulted for
+    work items on that path (live memos do not cross process
+    boundaries), though with ``memo_path`` set the worker deltas are
+    folded back into it after the pool exits.
 
     ``memo`` shares a :class:`DecodeMemo` *across* encode invocations —
     a cluster-size or codec sweep over the same design replays identical
     (order, mask) decodes from the first run instead of re-routing.
-    Ignored as a work-item cache under ``backend="process"`` (memos do
-    not cross process boundaries); pass it for serial/thread sweeps.
+    Ignored as a work-item cache under ``workers`` > 1 (memos do not
+    cross process boundaries); pass it for serial sweeps.
 
     Container-level codecs (the dictionary codec's shared pattern table,
     the stateful delta codecs, the wide-tag VERSION 4 codings) are
@@ -1213,7 +1220,7 @@ def encode_design(
     initializer and dump what they discovered beyond it into per-worker
     delta files at exit; the parent folds the deltas into the shared
     memo after the pool shuts down, so pool discoveries warm subsequent
-    runs exactly like serial/thread ones.  Never changes the emitted
+    runs exactly like serial ones.  Never changes the emitted
     bytes — the memo only skips deterministic router replays.
 
     ``predictor`` shares a :class:`~repro.vbs.predictor.CodecPredictor`
@@ -1247,7 +1254,6 @@ def encode_design(
         compact_logic=compact_logic,
         codecs=codecs,
         workers=workers,
-        backend=backend,
         memo=memo,
         memo_path=memo_path,
     )
@@ -1310,7 +1316,6 @@ def _encode_pipeline(
     compact_logic: bool,
     codecs: "str | Sequence[str] | None",
     workers: Optional[int],
-    backend: str,
     memo: Optional[DecodeMemo],
     memo_path: "str | None" = None,
 ) -> _PipelineResult:
@@ -1318,11 +1323,6 @@ def _encode_pipeline(
     construction, the (possibly pooled) per-cluster encode, and the
     deterministic raster-order merge."""
     from repro.vbs.codecs import resolve_codecs
-
-    if backend not in ("thread", "process"):
-        raise VbsError(
-            f"unknown encode backend {backend!r}; use 'thread' or 'process'"
-        )
 
     fabric = placement.fabric
     params = fabric.params
@@ -1361,7 +1361,7 @@ def _encode_pipeline(
                 valid_members=tuple(layout.valid_members(cx, cy)),
             ))
 
-    if workers is not None and workers > 1 and backend == "process":
+    if workers is not None and workers > 1:
         import shutil
         import tempfile
         from concurrent.futures import ProcessPoolExecutor
@@ -1395,13 +1395,6 @@ def _encode_pipeline(
         finally:
             if merge_dir is not None:
                 shutil.rmtree(merge_dir, ignore_errors=True)
-    elif workers is not None and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(lambda item: _encode_cluster(item, ctx, memo), items)
-            )
     else:
         outcomes = [_encode_cluster(item, ctx, memo) for item in items]
 
@@ -1514,7 +1507,6 @@ def encode_task(
     compact_logic: bool = False,
     codecs: "str | Sequence[str] | None" = "auto",
     workers: Optional[int] = None,
-    backend: str = "thread",
     memo: Optional[DecodeMemo] = None,
     memo_path: "str | None" = None,
     predictor: "Optional[object]" = None,
@@ -1539,9 +1531,9 @@ def encode_task(
 
     All jobs must share architecture parameters, cluster size and the
     compact-logic flag — a pattern table only makes sense over one
-    coding geometry.  The result is byte-identical across serial,
-    thread and process backends: the task-scope selection runs after
-    the deterministic raster-order merges.  ``memo``/``memo_path``
+    coding geometry.  The result is byte-identical serial or pooled
+    (``workers`` > 1): the task-scope selection runs after the
+    deterministic raster-order merges.  ``memo``/``memo_path``
     behave exactly as in :func:`encode_design` (cross-invocation and
     persisted warm starts; bytes never change).
     """
@@ -1570,7 +1562,6 @@ def encode_task(
             compact_logic=compact_logic,
             codecs=codecs,
             workers=workers,
-            backend=backend,
             memo=memo,
             memo_path=memo_path,
         )

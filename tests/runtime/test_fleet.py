@@ -138,8 +138,8 @@ class TestRouters:
     def test_load_router_picks_coldest_backlog(self, params5, images):
         managers = _shard_managers(params5, images, 3)
         fleet = FleetManager(managers, router="load")
-        fleet.server_free[0] = [500]  # shard 0 is busy at fleet time 0
-        fleet.server_free[1] = [200]
+        fleet.banks[0].server_free = [500]  # busy at fleet time 0
+        fleet.banks[1].server_free = [200]
         assert fleet.router.choose("a", fleet) == 2
 
     def test_load_router_prefers_measured_over_unmeasured_guess(
@@ -155,8 +155,9 @@ class TestRouters:
         store.record(False, 0, 100)   # cold@0: measured, expensive
         managers = _shard_managers(params5, images, 2)
         fleet = FleetManager(managers, router="load", policy_store=store)
-        fleet.queue_depths[0] = 4     # bucket 4 empty -> pooled guess 55
-        fleet.queue_depths[1] = 0     # bucket 0 measured at 100
+        # Shard 0 has four requests in flight: bucket 4 is empty ->
+        # pooled guess 55.  Shard 1 (depth 0) is measured at 100.
+        fleet.banks[0].in_flight = [9, 9, 9, 9]
         # Shard 0's 55 is a guess; shard 1's 100 is a measurement.  The
         # old (predicted, backlog) ordering picked shard 0.
         assert store.expected_latency(False, 4) < store.expected_latency(
@@ -173,8 +174,8 @@ class TestRouters:
         managers = _shard_managers(params5, images, 3)
         fleet = FleetManager(managers, router="load",
                              policy_store=PolicyStore())
-        fleet.server_free[0] = [500]
-        fleet.server_free[1] = [200]
+        fleet.banks[0].server_free = [500]
+        fleet.banks[1].server_free = [200]
         assert fleet.router.choose("a", fleet) == 2
 
     def test_load_router_ties_break_by_index(self, params5, images):

@@ -112,6 +112,22 @@ class TestVbsgenCli:
         assert "predictor:" in capsys.readouterr().out
 
 
+class TestVbsgenBackendFlag:
+    def test_thread_backend_flag_exits_two(self, tmp_path, capsys):
+        """``--workers N`` is the only pool knob: a ``--backend`` flag is
+        an argument error (exit 2), never silently ignored."""
+        from repro.cli import main_vbsgen
+
+        blif = tmp_path / "demo.blif"
+        blif.write_text(".model demo\n.inputs a\n.outputs x\n"
+                        ".names a x\n1 1\n.end\n")
+        with pytest.raises(SystemExit) as exc:
+            main_vbsgen([str(blif), "--workers", "2", "--backend", "thread"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+        assert not (tmp_path / "demo.vbs").exists()
+
+
 class TestReproCli:
     @pytest.mark.integration
     def test_vbs_inspect(self, tmp_path, capsys):
@@ -183,14 +199,36 @@ class TestReproCli:
         )
 
     @pytest.mark.integration
-    def test_inspect_rejects_garbage(self, tmp_path):
+    def test_inspect_rejects_garbage(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.errors import VbsError
 
         bad = tmp_path / "junk.vbs"
         bad.write_bytes(b"\x00" * 64)
-        with pytest.raises(VbsError):
-            main(["vbs", "inspect", str(bad)])
+        assert main(["vbs", "inspect", str(bad)]) == 2
+        assert "error: bad magic" in capsys.readouterr().err
+
+    def test_inspect_rejects_truncated_container(self, tmp_path, capsys):
+        """Half a container is a wire-format error (exit 2), never a
+        bare ``EOFError`` traceback from the bit reader."""
+        from repro.arch import ArchParams
+        from repro.cli import main
+        from repro.utils.bitarray import BitArray
+        from repro.vbs.encode import VirtualBitstream
+        from repro.vbs.format import ClusterRecord, VbsLayout
+
+        layout = VbsLayout(ArchParams(channel_width=5), 2, 4, 4)
+        raw = BitArray(layout.raw_bits_per_cluster)
+        raw[5] = 1
+        vbs = VirtualBitstream(layout, [
+            ClusterRecord((0, 0), raw=True, raw_frames=raw),
+            ClusterRecord((1, 1), raw=True, raw_frames=raw.copy()),
+        ])
+        data = vbs.to_bits().to_bytes()
+        out = tmp_path / "half.vbs"
+        out.write_bytes(data[: len(data) // 2])
+
+        assert main(["vbs", "inspect", str(out)]) == 2
+        assert "error: truncated VBS container" in capsys.readouterr().err
 
     def test_inspect_shared_dict_container_without_table(self, tmp_path,
                                                          capsys):

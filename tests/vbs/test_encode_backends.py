@@ -1,8 +1,8 @@
 """Encode-pipeline backends: byte identity, pickling, shared memo.
 
 The container a design encodes to must not depend on *how* the pipeline
-ran — serial, thread pool, or process pool must emit identical bytes for
-every codec selection (the offline/online feedback-loop contract says
+ran — serial and process pool must emit identical bytes for every codec
+selection (the offline/online feedback-loop contract says
 decode success is a function of the emitted list, so a backend-dependent
 container would be a correctness bug, not a performance detail).
 """
@@ -11,7 +11,6 @@ import pickle
 
 import pytest
 
-from repro.errors import VbsError
 from repro.vbs.devirt import DecodeMemo
 from repro.vbs.encode import (
     PROCESS_CHUNKS_PER_WORKER,
@@ -39,46 +38,28 @@ def _ids(val):
 
 class TestByteIdenticalBackends:
     @pytest.mark.parametrize("codecs", CODEC_SELECTIONS, ids=_ids)
-    def test_serial_thread_process_agree(self, tiny_flow, tiny_config,
-                                         codecs):
+    def test_serial_and_process_agree(self, tiny_flow, tiny_config,
+                                      codecs):
         serial = encode_flow(
             tiny_flow, tiny_config, cluster_size=2, codecs=codecs
         )
-        thread = encode_flow(
-            tiny_flow, tiny_config, cluster_size=2, codecs=codecs,
-            workers=3, backend="thread",
-        )
         process = encode_flow(
             tiny_flow, tiny_config, cluster_size=2, codecs=codecs,
-            workers=2, backend="process",
+            workers=2,
         )
-        blob = serial.to_bits().to_bytes()
-        assert thread.to_bits().to_bytes() == blob
-        assert process.to_bits().to_bytes() == blob
+        assert process.to_bits().to_bytes() == serial.to_bits().to_bytes()
         # Deterministic merge: the stats that describe the *container*
         # (not memo luck) agree too.
-        for vbs in (thread, process):
-            assert vbs.stats.clusters_listed == serial.stats.clusters_listed
-            assert vbs.stats.clusters_raw == serial.stats.clusters_raw
-            assert vbs.stats.codec_counts == serial.stats.codec_counts
+        assert process.stats.clusters_listed == serial.stats.clusters_listed
+        assert process.stats.clusters_raw == serial.stats.clusters_raw
+        assert process.stats.codec_counts == serial.stats.codec_counts
 
     def test_process_backend_cluster1(self, tiny_flow, tiny_config):
         serial = encode_flow(tiny_flow, tiny_config, cluster_size=1,
                              codecs="auto")
         process = encode_flow(tiny_flow, tiny_config, cluster_size=1,
-                              codecs="auto", workers=2, backend="process")
+                              codecs="auto", workers=2)
         assert process.to_bits().to_bytes() == serial.to_bits().to_bytes()
-
-    def test_unknown_backend_rejected(self, tiny_flow, tiny_config):
-        with pytest.raises(VbsError):
-            encode_flow(tiny_flow, tiny_config, workers=2, backend="mpi")
-
-    def test_backend_ignored_without_workers(self, tiny_flow, tiny_config):
-        # workers=None never spawns a pool, whatever the backend says.
-        vbs = encode_flow(tiny_flow, tiny_config, backend="process")
-        assert vbs.to_bits().to_bytes() == encode_flow(
-            tiny_flow, tiny_config
-        ).to_bits().to_bytes()
 
 
 class TestProcessChunking:
@@ -114,7 +95,7 @@ class TestProcessChunking:
         workers = 2
         pooled = encode_flow(
             tiny_flow, tiny_config, cluster_size=1, codecs="auto",
-            workers=workers, backend="process",
+            workers=workers,
         )
         serial = encode_flow(
             tiny_flow, tiny_config, cluster_size=1, codecs="auto"
@@ -253,11 +234,8 @@ class TestPersistedMemo:
         assert warm_memo.hits > cold_memo.hits
         assert warm_memo.misses == 0
 
-    @pytest.mark.parametrize("backend,workers", [
-        ("thread", 3), ("process", 2),
-    ])
     def test_pooled_backends_unchanged_by_restored_memo(
-        self, tiny_flow, tiny_config, tmp_path, backend, workers
+        self, tiny_flow, tiny_config, tmp_path
     ):
         path = tmp_path / "memo.pkl"
         baseline = encode_flow(
@@ -265,8 +243,7 @@ class TestPersistedMemo:
         )
         self._encode(tiny_flow, tiny_config, DecodeMemo(), path)  # seed it
         pooled = self._encode(
-            tiny_flow, tiny_config, DecodeMemo(), path,
-            workers=workers, backend=backend,
+            tiny_flow, tiny_config, DecodeMemo(), path, workers=2,
         )
         assert pooled.to_bits().to_bytes() == baseline.to_bits().to_bytes()
 
@@ -280,7 +257,7 @@ class TestPersistedMemo:
         # a pool worker and merged on exit.
         self._encode(
             tiny_flow, tiny_config, DecodeMemo(), path,
-            workers=2, backend="process",
+            workers=2,
         )
         payload = pickle.loads(path.read_bytes())
         assert len(payload["entries"]) > 0
@@ -302,7 +279,7 @@ class TestPersistedMemo:
         before = dict(pickle.loads(path.read_bytes())["entries"])
         self._encode(
             tiny_flow, tiny_config, DecodeMemo(), path,
-            workers=2, backend="process",
+            workers=2,
         )
         after = dict(pickle.loads(path.read_bytes())["entries"])
         # The parent folds its own warm start and the worker deltas into
@@ -431,29 +408,3 @@ class TestPersistedMemo:
         assert warm_memo.restored > 0
         for a, b in zip(cold.containers, warm.containers):
             assert a.to_bits().to_bytes() == b.to_bits().to_bytes()
-
-
-class TestSharedMemoSweepRaces:
-    def test_bounded_memo_hits_survive_thread_races(self):
-        # Hits refresh recency by pop+reinsert; a racing eviction must
-        # cost at most a lost refresh, never a KeyError — the thread
-        # backend shares one memo across all workers.
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.arch import ArchParams, get_cluster_model
-        from repro.errors import DevirtualizationError
-
-        model = get_cluster_model(ArchParams(channel_width=5), 1)
-        memo = DecodeMemo(max_entries=2)
-        churn = [[(0, 5)], [(1, 6)], [(2, 7)], [(3, 8)]]
-
-        def hammer(worker: int) -> None:
-            for n in range(300):
-                try:
-                    memo.decode(model, churn[(worker + n) % len(churn)])
-                except DevirtualizationError:
-                    pass  # an unroutable churn pair is fine here
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            list(pool.map(hammer, range(8)))
-        assert len(memo) <= 2

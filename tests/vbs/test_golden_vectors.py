@@ -463,6 +463,37 @@ class TestVersionGates:
             VirtualBitstream.from_bits(w.finish(), params=layout.params)
 
 
+class TestTruncation:
+    """A container cut short anywhere is a wire-format error.
+
+    The bit reader signals exhaustion with ``EOFError``; ``from_bits``
+    must surface that as :class:`VbsError` like any other malformed
+    input.  A cut that only drops the final byte's zero padding still
+    parses — to the very same container.
+    """
+
+    @pytest.mark.parametrize("name", [
+        "GOLDEN_V1", "GOLDEN_V2", "GOLDEN_V3", "GOLDEN_V4",
+        "GOLDEN_V4_SHARED", "GOLDEN_V4_FRONTIER",
+    ])
+    def test_every_cut_raises_vbs_error(self, layout, name):
+        hexstr = globals()[name]
+        data = bytes.fromhex(hexstr)
+        shared = {SHARED_ID: _v4_shared_layout_and_records(layout)[0]
+                  .dict_table}
+        rejected = 0
+        for cut in range(8 * len(data)):
+            bits = BitArray.from_bytes(data, nbits=cut)
+            try:
+                vbs = VirtualBitstream.from_bits(bits, shared_dicts=shared)
+            except VbsError:
+                rejected += 1
+                continue
+            version = vbs.source_version
+            assert vbs.to_bits(version=version).to_bytes().hex() == hexstr
+        assert rejected >= 8 * len(data) - 7
+
+
 class TestCrossVersionConformance:
     """Every codec x every writable container version round-trips; every
     unwritable pair raises the documented rejection.

@@ -7,8 +7,8 @@ container of the task references it by id.  Pinned here:
 * the task-scope keep-if-it-pays decision — the table is kept exactly
   when the summed container payloads plus the external table storage
   beat the independent encodes;
-* byte identity of the emitted containers across the serial, thread and
-  process encode backends (the task-scope selection runs after the
+* byte identity of the emitted containers across the serial and
+  process encode drivers (the task-scope selection runs after the
   deterministic merges);
 * the controller/manager lifecycle — a resident table exists exactly
   while at least one resident task references it, and eviction of the
@@ -71,15 +71,10 @@ class TestTaskScopeEncode:
     def test_byte_identical_across_backends(self, dpath_flow, dpath_config,
                                             task_result):
         jobs = [(dpath_flow, dpath_config)] * 3
-        threaded = encode_task(jobs, dict_id=7, cluster_size=2,
-                               codecs="auto", workers=3, backend="thread")
         processed = encode_task(jobs, dict_id=7, cluster_size=2,
-                                codecs="auto", workers=2, backend="process")
-        for a, b, c in zip(task_result.containers, threaded.containers,
-                           processed.containers):
-            blob = a.to_bits().to_bytes()
-            assert b.to_bits().to_bytes() == blob
-            assert c.to_bits().to_bytes() == blob
+                                codecs="auto", workers=2)
+        for a, c in zip(task_result.containers, processed.containers):
+            assert c.to_bits().to_bytes() == a.to_bits().to_bytes()
 
     def test_shared_containers_decode_like_solo(self, dpath_flow,
                                                 dpath_config, task_result):
