@@ -2,7 +2,7 @@
 
 Benchmarks the MCW binary search on a reduced-scale proxy.  Absolute MCW
 values differ from the paper's VPR numbers (our switch box is the stricter
-disjoint pattern; see DESIGN.md §2.3) but the search procedure and the
+disjoint pattern; see ``repro.arch.rrg``) but the search procedure and the
 relative congestion ordering are the reproduced artifacts.
 """
 

@@ -342,7 +342,6 @@ def _run_runtime_simulate(args: argparse.Namespace) -> int:
             memo_entries=args.memo_entries,
             strategy=BEST_FIT if args.best_fit else FIRST_FIT,
             codecs="auto" if args.auto_codecs else None,
-            cache_dir=str(args.cache_dir) if args.cache_dir else None,
             arrivals=args.arrivals,
             mean_interarrival=args.mean_interarrival,
             zipf_alpha=args.zipf_alpha,
@@ -367,62 +366,6 @@ def _run_runtime_simulate(args: argparse.Namespace) -> int:
         args.json.parent.mkdir(parents=True, exist_ok=True)
         args.json.write_text(
             json.dumps(report, indent=1, sort_keys=True) + "\n"
-        )
-        print(f"wrote {args.json}")
-    return 0
-
-
-def _run_runtime_sweep(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.errors import RuntimeManagementError
-    from repro.runtime.manager import BEST_FIT, FIRST_FIT
-    from repro.runtime.workload import run_sweep_scenario, summarize_sweep
-
-    try:
-        sweep = run_sweep_scenario(
-            kind=args.kind,
-            n_tasks=args.tasks,
-            length=args.length,
-            seed=args.seed,
-            channel_width=args.channel_width,
-            cluster_size=args.cluster_size,
-            cache_capacity=args.capacity,
-            memo_entries=args.memo_entries,
-            strategy=BEST_FIT if args.best_fit else FIRST_FIT,
-            codecs="auto" if args.auto_codecs else None,
-            base_interarrival=args.base_interarrival,
-            factor=args.factor,
-            steps=args.steps,
-            zipf_alpha=args.zipf_alpha,
-            servers=args.servers,
-            policy=args.policy,
-            queue_threshold=args.queue_threshold,
-        )
-    except RuntimeManagementError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(summarize_sweep(sweep))
-    # Schema self-check: the ladder must tighten monotonically and the
-    # knee (when located) must point inside the swept range — a sweep
-    # artifact violating either is a bug, not a measurement.
-    gaps = [row["mean_interarrival"] for row in sweep["rates"]]
-    if gaps != sorted(gaps, reverse=True) or len(set(gaps)) != len(gaps):
-        print("error: sweep rates are not strictly tightening",
-              file=sys.stderr)
-        return 1
-    knee = sweep.get("knee")
-    if knee is not None and not 0 <= knee["index"] < len(gaps):
-        print("error: knee index outside the swept range", file=sys.stderr)
-        return 1
-    if knee is None and args.require_knee:
-        print("error: no saturation knee within the swept range "
-              "(--require-knee)", file=sys.stderr)
-        return 1
-    if args.json is not None:
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(
-            json.dumps(sweep, indent=1, sort_keys=True) + "\n"
         )
         print(f"wrote {args.json}")
     return 0
@@ -575,12 +518,12 @@ def main(argv: "list[str] | None" = None) -> int:
                           "on the open-loop clock (1 = the historical "
                           "single-server model, byte-identical report)")
     sim.add_argument("--policy", default=None,
-                     help="admission policy at the arrival door: none, "
-                          "drop-cold, defer-cold or priority (needs "
-                          "--arrivals poisson, single fabric)")
+                     help="admission policy at the arrival door: none "
+                          "or defer-cold (needs --arrivals poisson, "
+                          "single fabric)")
     sim.add_argument("--queue-threshold", type=int, default=4,
-                     help="queue depth at which drop-cold/defer-cold "
-                          "start shedding cold requests")
+                     help="queue depth at which defer-cold starts "
+                          "deferring cold requests")
     sim.add_argument("--task-scope", action="store_true",
                      help="synthesize multi-container task groups through "
                           "encode_task (VERSION 4 shared dictionaries "
@@ -603,64 +546,9 @@ def main(argv: "list[str] | None" = None) -> int:
                           "(default first-fit)")
     sim.add_argument("--auto-codecs", action="store_true",
                      help="encode task images with codecs=auto")
-    sim.add_argument("--cache-dir", type=Path, default=None,
-                     help="persist/restore decode-cache entries in this "
-                          "directory (cross-process reuse)")
     sim.add_argument("--json", type=Path, default=None,
                      help="also write the machine-readable report here")
     sim.set_defaults(func=_run_runtime_simulate)
-
-    sweep = runtime_sub.add_parser(
-        "sweep",
-        help="replay one workload at a geometric ladder of arrival "
-             "rates and locate the saturation knee",
-    )
-    sweep.add_argument("--kind", default="zipf",
-                       help="arrival mix of the generated trace: hot-set, "
-                            "round-robin, adversarial or zipf")
-    sweep.add_argument("--tasks", type=int, default=4,
-                       help="synthetic task images to generate")
-    sweep.add_argument("--length", type=int, default=40,
-                       help="trace length in events")
-    sweep.add_argument("--seed", type=int, default=3)
-    sweep.add_argument("--base-interarrival", type=int, default=2000,
-                       help="most relaxed mean inter-arrival gap in "
-                            "cycles (the ladder's first rung)")
-    sweep.add_argument("--factor", type=float, default=2.0,
-                       help="geometric rate step: each rung divides the "
-                            "gap by this factor")
-    sweep.add_argument("--steps", type=int, default=5,
-                       help="rungs on the rate ladder (stops early once "
-                            "the gap bottoms out at 1 cycle)")
-    sweep.add_argument("--zipf-alpha", type=float, default=1.1,
-                       help="popularity skew of the zipf mix")
-    sweep.add_argument("--servers", type=int, default=1,
-                       help="parallel reconfiguration servers on the "
-                            "open-loop clock")
-    sweep.add_argument("--policy", default=None,
-                       help="admission policy at the arrival door: none, "
-                            "drop-cold, defer-cold or priority")
-    sweep.add_argument("--queue-threshold", type=int, default=4,
-                       help="queue depth at which drop-cold/defer-cold "
-                            "start shedding cold requests")
-    sweep.add_argument("-W", "--channel-width", type=int, default=8)
-    sweep.add_argument("-c", "--cluster-size", type=int, default=1)
-    sweep.add_argument("--capacity", type=int, default=16,
-                       help="decode cache entry capacity per rate replay")
-    sweep.add_argument("--memo-entries", type=int, default=4096,
-                       help="controller DecodeMemo bound (0 disables "
-                            "reuse)")
-    sweep.add_argument("--best-fit", action="store_true",
-                       help="adjacency-aware best-fit placement "
-                            "(default first-fit)")
-    sweep.add_argument("--auto-codecs", action="store_true",
-                       help="encode task images with codecs=auto")
-    sweep.add_argument("--require-knee", action="store_true",
-                       help="exit 1 unless a saturation knee was located "
-                            "within the swept range (CI smoke gating)")
-    sweep.add_argument("--json", type=Path, default=None,
-                       help="also write the machine-readable sweep here")
-    sweep.set_defaults(func=_run_runtime_sweep)
 
     tasks = sub.add_parser(
         "tasks",

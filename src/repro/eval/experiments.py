@@ -34,7 +34,7 @@ from repro.vbs.codecs import V3_CODECS
 from repro.vbs.encode import encode_flow
 
 #: Bump to invalidate caches when result-affecting code changes.
-CACHE_VERSION = 8
+CACHE_VERSION = 9
 
 #: Synthetic eval circuits beyond the MCNC proxy table — workloads the
 #: later codec families target.  ``dpath`` is a replicated datapath: a
@@ -342,10 +342,8 @@ def run_workload(
 ) -> dict:
     """One workload-simulator report, cached like the figure rows.
 
-    The decode cache (and the controller's DecodeMemo) is persisted
-    under ``<results_dir>/decode_cache`` — the cross-process reuse path:
-    re-running the experiment (or any other scenario over the same
-    images) starts warm.  The report itself is cached under the usual
+    Every replay starts from a cold decode cache, so a report depends on
+    its parameters alone.  The report itself is cached under the usual
     versioned JSON convention, so ``run_all`` replays are free.
 
     ``arrivals="poisson"`` runs the open-loop engine (latency
@@ -377,7 +375,6 @@ def run_workload(
         n_tasks=n_tasks,
         length=length,
         seed=seed,
-        cache_dir=str(results_dir / "decode_cache"),
         arrivals=arrivals,
         mean_interarrival=mean_interarrival,
         zipf_alpha=zipf_alpha,
@@ -388,58 +385,6 @@ def run_workload(
     report["cache_version"] = CACHE_VERSION
     path.write_text(json.dumps(report, indent=1, sort_keys=True))
     return report
-
-
-def run_sweep(
-    results_dir: Path,
-    kind: str = "zipf",
-    n_tasks: int = 3,
-    length: int = 30,
-    seed: int = 3,
-    base_interarrival: int = 20000,
-    factor: float = 4.0,
-    steps: int = 6,
-    servers: int = 1,
-    policy: "str | None" = None,
-    force: bool = False,
-) -> dict:
-    """One saturation-knee sweep report, cached like the figure rows.
-
-    Replays the seeded trace at a geometric ladder of arrival rates
-    (fresh simulator state per rate — see
-    :func:`~repro.runtime.workload.run_sweep_scenario`) and locates the
-    saturation knee; ``run_all --workload`` persists the result as
-    ``knee.json`` next to the other workload artifacts.
-    """
-    from repro.runtime.workload import run_sweep_scenario
-
-    key = (
-        f"sweep_{kind}_t{n_tasks}_n{length}_seed{seed}"
-        f"_b{base_interarrival}_f{factor:g}_x{steps}"
-    )
-    if servers != 1:
-        key += f"_k{servers}"
-    if policy not in (None, "none"):
-        key += f"_{policy}"
-    path = _cache_path(results_dir, key)
-    cached = _load_cache(path)
-    if cached is not None and not force:
-        return cached
-
-    sweep = run_sweep_scenario(
-        kind=kind,
-        n_tasks=n_tasks,
-        length=length,
-        seed=seed,
-        base_interarrival=base_interarrival,
-        factor=factor,
-        steps=steps,
-        servers=servers,
-        policy=policy,
-    )
-    sweep["cache_version"] = CACHE_VERSION
-    path.write_text(json.dumps(sweep, indent=1, sort_keys=True))
-    return sweep
 
 
 def run_table2(

@@ -24,7 +24,6 @@ from repro.eval.experiments import (
     EVAL_EXTRAS,
     run_fig4,
     run_fig5,
-    run_sweep,
     run_table2,
     run_workload,
     v4_ratio_summary,
@@ -113,7 +112,7 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.workload:
         from json import dumps
 
-        from repro.runtime.workload import summarize_report, summarize_sweep
+        from repro.runtime.workload import summarize_report
 
         report = run_workload(results_dir, seed=args.seed)
         print()
@@ -142,15 +141,6 @@ def main(argv: "list[str] | None" = None) -> int:
         print(summarize_report(fleet))
         (results_dir / "fleet.json").write_text(
             dumps(fleet, indent=1, sort_keys=True) + "\n"
-        )
-        # The saturation-knee companion: the same Zipf workload replayed
-        # at a geometric ladder of arrival rates, locating where the
-        # open-loop clock saturates and the tail blows up.
-        knee = run_sweep(results_dir, seed=args.seed)
-        print()
-        print(summarize_sweep(knee))
-        (results_dir / "knee.json").write_text(
-            dumps(knee, indent=1, sort_keys=True) + "\n"
         )
 
     print(f"\n# done in {time.perf_counter() - t0:.1f}s; cache: {results_dir}/",

@@ -3,11 +3,6 @@
 from repro.runtime.memory import ExternalMemory, StoredImage
 from repro.runtime.admission import (
     POLICY_KINDS,
-    AdmissionPolicy,
-    DeferColdPolicy,
-    DropColdPolicy,
-    PolicyStore,
-    PriorityPolicy,
     make_policy,
     validate_policy_request,
 )
@@ -18,7 +13,6 @@ from repro.runtime.costmodel import (
     DecodeCacheStats,
     LoadCost,
     decode_cost,
-    locate_knee,
     lpt_makespan,
     percentile,
     write_cost,
@@ -41,10 +35,7 @@ from repro.runtime.workload import (
     WorkloadTrace,
     generate_trace,
     run_scenario,
-    run_sweep_scenario,
     summarize_report,
-    summarize_sweep,
-    sweep_arrival_rates,
     synthesize_task_images,
     synthesize_task_scope_images,
 )
@@ -53,11 +44,6 @@ __all__ = [
     "ExternalMemory",
     "StoredImage",
     "POLICY_KINDS",
-    "AdmissionPolicy",
-    "DeferColdPolicy",
-    "DropColdPolicy",
-    "PolicyStore",
-    "PriorityPolicy",
     "make_policy",
     "validate_policy_request",
     "CachedDecode",
@@ -66,7 +52,6 @@ __all__ = [
     "DecodeCacheStats",
     "LoadCost",
     "decode_cost",
-    "locate_knee",
     "lpt_makespan",
     "percentile",
     "write_cost",
@@ -88,10 +73,7 @@ __all__ = [
     "WorkloadTrace",
     "generate_trace",
     "run_scenario",
-    "run_sweep_scenario",
     "summarize_report",
-    "summarize_sweep",
-    "sweep_arrival_rates",
     "synthesize_task_images",
     "synthesize_task_scope_images",
 ]

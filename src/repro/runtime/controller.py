@@ -234,20 +234,14 @@ class ReconfigurationController:
         A shared-dict entry is validated against the *currently
         published* table before it is served: the container bytes digest
         only the 16-bit id, so a republished id would otherwise hit a
-        stale expansion (including across processes via the persisted
-        cache).  A stale or unresolvable entry counts as a miss and is
-        re-decoded.
+        stale expansion.  The entry holds the table it was decoded with,
+        so freshness is a plain equality check.  A stale or unresolvable
+        entry counts as a miss and is re-decoded.
         """
-        from repro.runtime.costmodel import shared_dict_digest
-
         def _entry_fresh(entry: CachedDecode) -> bool:
             if entry.shared_dict_id is None:
                 return True
-            table = self.resolve_shared_dict(entry.shared_dict_id)
-            return (
-                table is not None
-                and shared_dict_digest(table) == entry.shared_dict_digest
-            )
+            return self.resolve_shared_dict(entry.shared_dict_id) == entry.table
 
         if self.decode_cache is None:
             vbs = VirtualBitstream.from_bits(
@@ -279,8 +273,8 @@ class ReconfigurationController:
                 vbs.layout.compact_logic,
             ),
             shared_dict_id=vbs.layout.shared_dict_id,
-            shared_dict_digest=(
-                shared_dict_digest(vbs.layout.dict_table)
+            table=(
+                vbs.layout.dict_table
                 if vbs.layout.shared_dict_id is not None
                 else None
             ),

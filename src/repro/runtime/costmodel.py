@@ -22,21 +22,16 @@ statements into numbers:
 
 The cache is bounded either by entry count (``capacity``) or by the byte
 footprint of the cached expansions (``capacity_bytes``, entries weighted
-by :attr:`CachedDecode.expanded_bytes`), and can be persisted to a
-directory next to the ``eval`` results cache (``save``/``load``) so a
-fresh process starts warm.
+by :attr:`CachedDecode.expanded_bytes`).  Entries live only in the
+process that decoded them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
-import pickle
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.errors import RuntimeManagementError
 from repro.vbs.decode import DecodeStats
@@ -44,6 +39,7 @@ from repro.vbs.decode import DecodeStats
 if TYPE_CHECKING:
     from repro.bitstream.config import FabricConfig
     from repro.runtime.memory import StoredImage
+    from repro.utils.bitarray import BitArray
 
 
 @dataclass(frozen=True)
@@ -82,8 +78,6 @@ class DecodeCacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    #: Entries restored from a persisted cache directory (``load``).
-    restored: int = 0
 
     @property
     def lookups(self) -> int:
@@ -123,12 +117,12 @@ class CachedDecode:
     #: (None for self-contained containers).  Kept in the entry so a
     #: cache hit can refcount resident task tables without re-parsing.
     shared_dict_id: Optional[int] = None
-    #: Content digest of the resolved table the entry was decoded with.
-    #: The cache key digests only the container *bytes*, which for a
-    #: shared-dict container carry just the 16-bit id — the controller
-    #: validates hits against the currently-published table so a
-    #: republished id can never serve a stale expansion.
-    shared_dict_digest: Optional[str] = None
+    #: The resolved shared table the entry was decoded with.  The cache
+    #: key digests only the container *bytes*, which for a shared-dict
+    #: container carry just the 16-bit id — the controller validates
+    #: hits against the currently-published table so a republished id
+    #: can never serve a stale expansion.
+    table: Optional[Tuple["BitArray", ...]] = None
 
     def config_at(self, origin: Tuple[int, int]) -> "FabricConfig":
         """A translated copy of the cached expansion at ``origin``."""
@@ -149,25 +143,8 @@ class CachedDecode:
         )
 
 
-def shared_dict_digest(patterns) -> str:
-    """Content digest of a shared-dictionary table (order-sensitive)."""
-    h = hashlib.sha256()
-    for pattern in patterns:
-        h.update(pattern.digest().encode())
-    return h.hexdigest()
-
-
 #: Cache key: (image digest, image kind, origin-independent dimensions).
 CacheKey = Tuple[str, str, int, int]
-
-#: Version stamp of the persisted entry-file format; files written by a
-#: different format version are silently skipped on ``load``.  Format 2:
-#: entries carry ``shared_dict_id`` (VERSION 4 container support).
-CACHE_FILE_FORMAT = 2
-
-#: Persisted entry-file prefix (``<prefix><keydigest>.pkl``).
-_CACHE_FILE_PREFIX = "decode_"
-
 
 def _entry_weight(entry: object) -> int:
     """Byte weight of a cache entry (0 for foreign test doubles)."""
@@ -192,12 +169,6 @@ class DecodeCache:
       of the resident entries.  Eviction is LRU under either bound, and an
       entry whose expansion alone exceeds the byte budget is never kept —
       after any operation sequence ``total_bytes <= capacity_bytes`` holds.
-
-    ``save``/``load`` persist entries as individual version-stamped pickle
-    files in a directory (conventionally next to the ``eval`` results
-    cache), keyed by a digest of the cache key, so a fresh process — or a
-    sweep worker — starts with a warm cache.  Corrupt, truncated or
-    foreign files are skipped, never fatal.
     """
 
     def __init__(
@@ -288,8 +259,14 @@ class DecodeCache:
                 and self._total_bytes > self.capacity_bytes
             )
 
-    def _insert(self, key: CacheKey, entry: CachedDecode) -> None:
-        """Insert/refresh without touching hit/miss counters."""
+    def put(self, key: CacheKey, entry: CachedDecode) -> None:
+        """Insert (or refresh) an entry, evicting the least recently used.
+
+        Under a byte budget an entry whose expansion alone exceeds
+        ``capacity_bytes`` is rejected outright (counted as an eviction)
+        without disturbing the resident entries — the budget is a hard
+        invariant, not advisory.  Hit/miss counters are not touched.
+        """
         weight = _entry_weight(entry)
         old = self._entries.pop(key, None)
         if old is not None:
@@ -303,91 +280,9 @@ class DecodeCache:
         self._total_bytes += weight
         self._evict_over_budget()
 
-    def put(self, key: CacheKey, entry: CachedDecode) -> None:
-        """Insert (or refresh) an entry, evicting the least recently used.
-
-        Under a byte budget an entry whose expansion alone exceeds
-        ``capacity_bytes`` is rejected outright (counted as an eviction)
-        without disturbing the resident entries — the budget is a hard
-        invariant, not advisory.
-        """
-        self._insert(key, entry)
-
     def clear(self) -> None:
         self._entries.clear()
         self._total_bytes = 0
-
-    # -- persistence -------------------------------------------------------------
-
-    @staticmethod
-    def _file_for(directory: Path, key: CacheKey) -> Path:
-        tag = hashlib.sha256(repr(key).encode()).hexdigest()[:32]
-        return directory / f"{_CACHE_FILE_PREFIX}{tag}.pkl"
-
-    def save(self, directory: "Path | str") -> int:
-        """Persist every resident entry into ``directory``; returns count.
-
-        One version-stamped pickle file per entry, named by a digest of
-        the cache key (content-addressed like the entries themselves, so
-        concurrent savers of the same image write identical files).
-        Files are written to a temporary name and atomically renamed.
-        """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        written = 0
-        for key, entry in self._entries.items():
-            payload = {
-                "format": CACHE_FILE_FORMAT,
-                "key": key,
-                "entry": entry,
-            }
-            path = self._file_for(directory, key)
-            tmp = path.with_suffix(f".tmp{os.getpid()}")
-            tmp.write_bytes(pickle.dumps(payload))
-            os.replace(tmp, path)
-            written += 1
-        return written
-
-    def load(self, directory: "Path | str") -> int:
-        """Restore persisted entries from ``directory``; returns count.
-
-        Tolerant by construction: unreadable, truncated, wrongly-typed or
-        version-mismatched files are skipped.  Restored entries respect
-        both bounds (the budget invariant holds after a load) and do not
-        disturb the hit/miss counters — ``stats.restored`` and the return
-        value count only entries actually resident right after their own
-        insert (a file whose entry immediately falls over the budget is
-        not "restored").  Keys already resident are left untouched (the
-        live entry is at least as fresh).
-        """
-        directory = Path(directory)
-        if not directory.is_dir():
-            return 0
-        loaded = 0
-        for path in sorted(directory.glob(f"{_CACHE_FILE_PREFIX}*.pkl")):
-            try:
-                payload = pickle.loads(path.read_bytes())
-            except Exception:
-                continue  # corrupt/truncated/foreign file: never fatal
-            if (
-                not isinstance(payload, dict)
-                or payload.get("format") != CACHE_FILE_FORMAT
-            ):
-                continue
-            key, entry = payload.get("key"), payload.get("entry")
-            if (
-                not isinstance(key, tuple)
-                or len(key) != 4
-                or not isinstance(entry, CachedDecode)
-            ):
-                continue
-            if key in self._entries:
-                continue
-            self._insert(key, entry)
-            if key in self._entries:  # survived the bounds
-                self.stats.restored += 1
-                loaded += 1
-        return loaded
 
 
 def percentile(values: "Sequence[int]", p: float) -> int:
@@ -409,52 +304,6 @@ def percentile(values: "Sequence[int]", p: float) -> int:
     ordered = sorted(values)
     rank = min(max(1, math.ceil(p / 100.0 * len(ordered))), len(ordered))
     return ordered[rank - 1]
-
-
-def locate_knee(
-    rows: "Sequence[dict]",
-    utilization_floor: float = 0.95,
-    p99_factor: float = 3.0,
-) -> Optional[dict]:
-    """The saturation knee of an arrival-rate sweep, or None.
-
-    ``rows`` are per-rate measurements ordered relaxed-to-aggressive
-    (decreasing ``mean_interarrival``), each carrying ``utilization``
-    and ``p99`` (``None`` p99 = the rate serviced nothing).  The knee is
-    the first rate where the server is effectively saturated
-    (``utilization >= utilization_floor``) *and* the tail has blown up
-    (``p99 >= p99_factor`` times the most relaxed rate's p99) — the
-    operating point a deployment must stay below.  Deterministic: pure
-    arithmetic over the rows, no fitting.
-    """
-    if not (0.0 < utilization_floor <= 1.0):
-        raise RuntimeManagementError(
-            "knee utilization floor must be in (0, 1]"
-        )
-    if p99_factor <= 1.0:
-        raise RuntimeManagementError(
-            "knee p99 factor must exceed 1 (the relaxed baseline)"
-        )
-    baseline = next(
-        (row["p99"] for row in rows if row.get("p99") is not None), None
-    )
-    if baseline is None:
-        return None
-    for index, row in enumerate(rows):
-        if row.get("p99") is None:
-            continue
-        if (
-            row["utilization"] >= utilization_floor
-            and row["p99"] >= p99_factor * baseline
-        ):
-            return {
-                "index": index,
-                "mean_interarrival": row["mean_interarrival"],
-                "utilization": row["utilization"],
-                "p99": row["p99"],
-                "p99_over_relaxed": row["p99"] / baseline,
-            }
-    return None
 
 
 def lpt_makespan(jobs: List[int], units: int) -> Tuple[int, List[int]]:

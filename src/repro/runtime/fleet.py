@@ -21,6 +21,9 @@ Router policies (:data:`ROUTER_KINDS`):
   count, mean recorded latency, then serviced-request count, with the
   shard index as the deterministic tie-break.
 
+A fleet of one never consults its router: every request lands on shard
+0.
+
 When a shard saturates (its server backlog exceeds the coldest shard's
 by ``migrate_backlog`` cycles), the fleet migrates the hot shard's
 oldest resident task onto the coldest shard — the digest-keyed decode
@@ -157,36 +160,18 @@ class ConsistentHashRouter:
 class LoadAwareRouter:
     """Route new placements to the least-loaded shard.
 
-    Load is judged from *recorded* fleet state, coldest first.  When the
-    fleet carries a policy store, shards whose cold-request latency was
-    *measured* at their current queue depth
-    (:meth:`PolicyStore.has_samples`) are trusted ahead of shards whose
-    estimate is a pooled guess or the no-knowledge 0.0 — an unmeasured
-    class must not look infinitely fast next to a measured-fast one.
-    The full ordering is then (has-samples, predicted cold latency,
-    server backlog in cycles, resident task count, mean recorded
-    request latency, total serviced requests, shard index) — fully
-    deterministic, so seeded replays stay reproducible.  A fleet
-    without a store degenerates to the pre-store ordering (backlog
-    first).
+    Load is judged from *recorded* fleet state, coldest first: (server
+    backlog in cycles, resident task count, mean recorded request
+    latency, total serviced requests, shard index) — fully
+    deterministic, so seeded replays stay reproducible.
     """
 
     name = "load"
 
     def choose(self, task: str, fleet: "FleetManager") -> int:
         def coldness(shard: int):
-            bank = fleet.banks[shard]
-            recorded = bank.latencies
-            store = fleet.policy_store
-            depth = len(bank.in_flight)
-            if store is not None:
-                measured = store.has_samples(False, depth)
-                predicted = store.expected_latency(False, depth)
-            else:
-                measured, predicted = False, 0.0
+            recorded = fleet.banks[shard].latencies
             return (
-                0 if measured else 1,
-                predicted,
                 fleet.backlog(shard),
                 len(fleet.shards[shard].controller.resident),
                 sum(recorded) / len(recorded) if recorded else 0.0,
@@ -215,9 +200,8 @@ class ServerBank:
     flight, the per-request latency/queue-wait/phase samples, the
     depth and busy-time totals, and the event counters of the shard.
     A request's first timed event starts on the earliest-free server
-    (the latest-free one on the priority policy's background lane) at
-    ``max(arrival, free time)``; every later event of the request runs
-    back-to-back on the server the request holds.
+    at ``max(arrival, free time)``; every later event of the request
+    runs back-to-back on the server the request holds.
     """
 
     def __init__(self, servers: int = 1, task_names: Sequence[str] = ()):
@@ -246,43 +230,33 @@ class ServerBank:
                 for name in task_names
             },
         }
-        #: The request being charged, its running finish time and the
-        #: queue depth it met at the door.
+        #: The request being charged and its running finish time.
         self.request = None
         self.finish = 0
-        self.door_depth = 0
 
     def drain(self, now: int) -> int:
         """Retire the requests finished by ``now``; return the depth left."""
         del self.in_flight[:bisect_right(self.in_flight, now)]
         return len(self.in_flight)
 
-    def charge(
-        self, request, clock_at: int, arrival: int, cost,
-        background: bool = False, store=None, hot: Optional[bool] = None,
-    ) -> None:
+    def charge(self, request, clock_at: int, arrival: int, cost) -> None:
         """Charge one timed event of ``request``, at the door at ``clock_at``.
 
         ``request=None`` is a one-event request that holds no server
         afterwards (a cross-shard migration).  A serviced event (``cost``
-        not None) is sampled with its latency measured from ``arrival``,
-        and filed into ``store`` under ``hot`` (the cache hit when None)
-        and the depth its request met at the door.
+        not None) is sampled with its latency measured from ``arrival``.
         """
         free = self.server_free
         in_flight = self.in_flight
         new = request is None or request != self.request
         if new:
             depth = self.drain(clock_at)
-            slot = 0
-            if background:
-                slot = max(range(len(free)), key=lambda i: (free[i], -i))
-            start = max(clock_at, free[slot])
+            slot, start = 0, max(clock_at, free[0])
         else:
             # A later event reclaims the slot its request holds — unless
             # a migration claimed that slot meanwhile, in which case it
             # chains behind the earliest-free server.
-            depth, prev = self.door_depth, self.finish
+            prev = self.finish
             if prev in free:
                 slot, start = free.index(prev), prev
             else:
@@ -302,19 +276,14 @@ class ServerBank:
             self.depth_sum += depth + 1
             self.max_depth = max(self.max_depth, depth + 1)
         if request is not None:
-            self.request, self.finish, self.door_depth = request, finish, depth
+            self.request, self.finish = request, finish
         if cost is None:
             return
-        latency = finish - arrival
-        self.latencies.append(latency)
+        self.latencies.append(finish - arrival)
         self.queue_waits.append(start - arrival)
         self.phases["fetch"].append(cost.fetch_cycles)
         self.phases["decode"].append(cost.decode_cycles)
         self.phases["write"].append(cost.write_cycles)
-        if store is not None:
-            store.record(
-                cost.cache_hit if hot is None else hot, depth, latency
-            )
 
     def count(self, op: str, name: str, cost, decoded_bytes: int = 0):
         """Account one executed reconfiguration (a load or a migration)."""
@@ -365,7 +334,6 @@ class FleetManager:
         router: "str | object" = "hash",
         migrate_backlog: Optional[int] = None,
         servers: int = 1,
-        policy_store=None,
     ):
         managers = list(shards)
         if not managers:
@@ -387,10 +355,6 @@ class FleetManager:
         #: Parallel reconfiguration servers per shard (the open-loop
         #: clock runs one min-heap of k server-free times per shard).
         self.servers = servers
-        #: Optional :class:`~repro.runtime.admission.PolicyStore` the
-        #: replay records every serviced request into (hot = cache hit)
-        #: and the load-aware router reads predicted latencies from.
-        self.policy_store = policy_store
         #: Last known home shard of every task the fleet ever placed —
         #: bookkeeping requests (unload/migrate) for a task not resident
         #: anywhere are routed (and counted) at its last home.
@@ -442,8 +406,10 @@ class FleetManager:
         """The shard a request for ``name`` belongs on.
 
         A resident task is sticky to its shard; a new placement asks the
-        router.
+        router.  A fleet of one has nothing to choose.
         """
+        if len(self.shards) == 1:
+            return 0
         resident = self.shard_of(name)
         if resident is not None:
             return resident
@@ -455,6 +421,8 @@ class FleetManager:
         Where ``name`` is resident, else its last home (shard 0 for a
         task never placed).
         """
+        if len(self.shards) == 1:
+            return 0
         resident = self.shard_of(name)
         if resident is not None:
             return resident
@@ -587,5 +555,5 @@ def _maybe_migrate(fleet: FleetManager) -> None:
     # the cache entry travelled with the task — so zero decode cycles).
     cost = fleet.migrate_across(victim, cold).load_cost
     bank = fleet.banks[cold]
-    bank.charge(None, fleet.now, fleet.now, cost, store=fleet.policy_store)
+    bank.charge(None, fleet.now, fleet.now, cost)
     bank.count("migrate", victim, cost)

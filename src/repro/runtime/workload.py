@@ -51,11 +51,10 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RuntimeManagementError
-from repro.runtime.admission import make_policy
+from repro.runtime.admission import defers, make_policy
 from repro.runtime.fleet import (
     FleetManager,
     ServerBank,
@@ -69,11 +68,6 @@ TRACE_KINDS = ("hot-set", "round-robin", "adversarial", "zipf")
 
 #: Supported open-loop arrival processes (``None`` = closed loop).
 ARRIVAL_KINDS = ("poisson",)
-
-#: File name of the persisted controller :class:`~repro.vbs.devirt.DecodeMemo`
-#: inside a ``cache_dir`` — deliberately outside the decode cache's
-#: ``decode_*.pkl`` entry-file namespace (its loader globs that prefix).
-MEMO_FILE_NAME = "devirt_memo.pkl"
 
 #: Version stamp of the report schema (bump on renames/removals; key
 #: additions are compatible).
@@ -560,15 +554,11 @@ class WorkloadSimulator:
     clock (the open-loop keys are simply absent).
 
     ``policy`` arms admission control at the arrival door (a
-    :data:`~repro.runtime.admission.POLICY_KINDS` name or an
-    :class:`~repro.runtime.admission.AdmissionPolicy` instance;
-    requires an open-loop trace): cold requests past the queue-depth
-    threshold are dropped or deferred, or dispatched on a background
-    lane under ``priority`` — see :mod:`repro.runtime.admission`.  The
-    report gains an ``admission`` section with per-policy counters and
-    the recorded-latency policy store's digest.  Dropped requests never
-    reach the fabric manager (and the observer never sees their
-    events).
+    :data:`~repro.runtime.admission.POLICY_KINDS` name; requires an
+    open-loop trace): under ``defer-cold``, cold requests arriving at
+    a queue depth of ``queue_threshold`` or more are deferred — see
+    :mod:`repro.runtime.admission`.  The report gains an ``admission``
+    section with the door's counters.
 
     ``observer`` is called after every processed event with the
     :class:`TraceEvent` — the hook the lifecycle property tests use to
@@ -599,7 +589,7 @@ class WorkloadSimulator:
             raise RuntimeManagementError(
                 "WorkloadSimulator needs exactly one of manager= or fleet="
             )
-        resolved = make_policy(policy, queue_threshold=queue_threshold)
+        resolved = make_policy(policy, queue_threshold)
         validate_replay_request(
             servers, policy=resolved is not None, fleet=fleet is not None
         )
@@ -613,6 +603,7 @@ class WorkloadSimulator:
         self.observer = observer
         self.servers = servers
         self.policy = resolved
+        self.queue_threshold = queue_threshold
 
     def run(self, trace: WorkloadTrace) -> dict:
         """Replay ``trace``; return the structured report (JSON-safe)."""
@@ -636,14 +627,10 @@ class WorkloadSimulator:
         base_faults = fleet.fleet_dict_faults
         base_drops = fleet.fleet_dict_drops
         banks = fleet.banks
-        # Serviced requests are filed under the door's temperature when
-        # admission runs, else under whether the reconfiguration hit.
-        store = policy.store if policy is not None else fleet.policy_store
         admission = {"admitted": 0, "deferred": 0, "dropped": 0,
                      "lanes": {"hot": 0, "cold": 0}}
 
-        def process(event, request=None, clock_at=0, hot=None,
-                    background=False):
+        def process(event, request=None, clock_at=0):
             name = event.task
             if event.op == "load":
                 shard = fleet.route(name)
@@ -653,9 +640,7 @@ class WorkloadSimulator:
             bank = banks[shard]
             cost = apply_trace_event(fleet.shards[shard], event, bank)
             if request is not None and event.at is not None:
-                bank.charge(
-                    request, clock_at, event.at, cost, background, store, hot
-                )
+                bank.charge(request, clock_at, event.at, cost)
                 _maybe_migrate(fleet)
             fleet.sync_shared_dicts()
             if observer is not None:
@@ -665,46 +650,34 @@ class WorkloadSimulator:
         # (retry_at, seq, events, attempts so far).
         pending: List[tuple] = []
 
-        def dispatch(clock_at: int, events, defers: int) -> None:
-            """Admit (or drop/defer) one request at the door at ``clock_at``.
+        def dispatch(clock_at: int, events, attempts: int) -> None:
+            """Admit (or defer) one request at the door at ``clock_at``.
 
             Latency and queueing are measured against the events' own
             arrival stamp, so deferral delay shows up as queueing.
             """
             fleet.now = clock_at
-            hot = None
             if policy is not None:
                 door = banks[0]  # admission runs on a fleet of one
                 depth = door.drain(clock_at)
                 _subject, hot = _request_subject(fleet.shards[0], events)
-                decision = policy.decide(hot, depth)
-                if decision == "drop":
-                    # The request never reaches the fabric manager.
-                    admission["dropped"] += 1
-                    return
-                if decision == "defer" and defers < policy.max_defers:
+                if defers(hot, depth, self.queue_threshold, attempts):
                     retry_at = max(clock_at + 1, door.server_free[0])
                     heapq.heappush(pending, (
-                        retry_at, admission["deferred"], events, defers + 1,
+                        retry_at, admission["deferred"], events, attempts + 1,
                     ))
                     admission["deferred"] += 1
                     return
                 admission["admitted"] += 1
                 admission["lanes"]["hot" if hot else "cold"] += 1
-            # Priority's background lane: a cold request yields to every
-            # server's queued work instead of taking the earliest-free
-            # slot.  At k=1 both lanes are the same server — plain FIFO.
-            background = (
-                policy is not None and policy.kind == "priority" and not hot
-            )
             request = object()
             for event in events:
-                process(event, request, clock_at, hot, background)
+                process(event, request, clock_at)
 
         def retry_until(limit: float) -> None:
             while pending and pending[0][0] <= limit:
-                retry_at, _seq, events, defers = heapq.heappop(pending)
-                dispatch(retry_at, events, defers)
+                retry_at, _seq, events, attempts = heapq.heappop(pending)
+                dispatch(retry_at, events, attempts)
 
         for at, events in _request_groups(trace):
             if at is None:
@@ -764,10 +737,9 @@ class WorkloadSimulator:
         )
         if policy is not None:
             report["admission"] = {
-                "policy": policy.kind,
-                "queue_threshold": policy.queue_threshold,
+                "policy": policy,
+                "queue_threshold": self.queue_threshold,
                 **admission,
-                "store": policy.store.snapshot(),
             }
         return report
 
@@ -908,7 +880,6 @@ def run_scenario(
     memo_entries: Optional[int] = 4096,
     strategy: str = FIRST_FIT,
     codecs: "str | Sequence[str] | None" = None,
-    cache_dir: "str | None" = None,
     arrivals: Optional[str] = None,
     mean_interarrival: int = 2000,
     zipf_alpha: float = 1.1,
@@ -928,10 +899,7 @@ def run_scenario(
     images, sizes an all-CLB fabric with room for roughly one-and-a-half
     tasks (so eviction pressure is real), generates the ``kind`` trace
     and returns the simulator's report with the scenario parameters
-    attached.  ``cache_dir`` warms the decode cache *and* the
-    controller's :class:`~repro.vbs.devirt.DecodeMemo` from a persisted
-    directory before the replay and saves both back afterwards —
-    cross-process reuse next to the eval results cache.
+    attached.
 
     ``arrivals="poisson"`` runs the open-loop engine (latency
     percentiles, queue depths; see :class:`WorkloadSimulator`);
@@ -964,10 +932,7 @@ def run_scenario(
         kind, arrivals, mean_interarrival, zipf_alpha, length=length
     )
     validate_fleet_request(shards, router)
-    # A pre-built policy instance (e.g. sharing one store across
-    # replays) is always armed — even the base admit-everything policy
-    # reports its admission section and records latencies.
-    armed = make_policy(policy, queue_threshold=queue_threshold)
+    armed = make_policy(policy, queue_threshold)
     validate_replay_request(
         servers,
         open_loop=arrivals is not None,
@@ -1000,37 +965,19 @@ def run_scenario(
             codecs=codecs,
         )
     build_fabric, memory = _scenario_fabric(images, channel_width)
-
-    def _shard_cache_dir(index: int) -> "str | None":
-        if cache_dir is None:
-            return None
-        # Single-fabric runs keep the historical flat layout; fleet
-        # shards persist into per-shard subdirectories so every shard's
-        # cache and memo stay isolated (and deterministic) across runs.
-        if shards == 1:
-            return str(cache_dir)
-        return str(Path(cache_dir) / f"shard-{index}")
-
-    restored = 0
-    memo_restored = 0
-    managers = []
-    for index in range(shards):
-        ctrl = ReconfigurationController(
-            build_fabric(),
-            memory,
-            cache_capacity=cache_capacity,
-            cache_capacity_bytes=cache_capacity_bytes,
-            memo_entries=memo_entries,
+    managers = [
+        FabricManager(
+            ReconfigurationController(
+                build_fabric(),
+                memory,
+                cache_capacity=cache_capacity,
+                cache_capacity_bytes=cache_capacity_bytes,
+                memo_entries=memo_entries,
+            ),
+            strategy=strategy,
         )
-        shard_dir = _shard_cache_dir(index)
-        if shard_dir is not None:
-            if ctrl.decode_cache is not None:
-                restored += ctrl.decode_cache.load(shard_dir)
-            if ctrl.decode_memo is not None:
-                memo_restored += ctrl.decode_memo.load(
-                    Path(shard_dir) / MEMO_FILE_NAME
-                )
-        managers.append(FabricManager(ctrl, strategy=strategy))
+        for _ in range(shards)
+    ]
 
     # Images (and VERSION 4 shared tables) are published exactly once:
     # all shards resolve from the one shared external memory.
@@ -1048,7 +995,10 @@ def run_scenario(
         zipf_alpha=zipf_alpha,
     )
     if shards == 1:
-        sim = WorkloadSimulator(managers[0], servers=servers, policy=armed)
+        sim = WorkloadSimulator(
+            managers[0], servers=servers, policy=armed,
+            queue_threshold=queue_threshold,
+        )
     else:
         sim = WorkloadSimulator(fleet=FleetManager(
             managers, router=router, migrate_backlog=migrate_backlog,
@@ -1061,8 +1011,6 @@ def run_scenario(
         "cluster_size": cluster_size,
         "strategy": strategy,
         "memo_entries": memo_entries,
-        "cache_entries_restored": restored,
-        "memo_entries_restored": memo_restored,
         "arrivals": arrivals,
         "task_scope": task_scope,
         "image_bits": {
@@ -1081,16 +1029,8 @@ def run_scenario(
     if servers != 1:
         report["scenario"]["servers"] = servers
     if armed is not None:
-        report["scenario"]["policy"] = armed.kind
+        report["scenario"]["policy"] = armed
         report["scenario"]["queue_threshold"] = queue_threshold
-    if cache_dir is not None:
-        for index, manager in enumerate(managers):
-            ctrl = manager.controller
-            shard_dir = _shard_cache_dir(index)
-            if ctrl.decode_cache is not None:
-                ctrl.decode_cache.save(shard_dir)
-            if ctrl.decode_memo is not None:
-                ctrl.decode_memo.save(Path(shard_dir) / MEMO_FILE_NAME)
     return report
 
 
@@ -1117,198 +1057,6 @@ def _scenario_fabric(images, channel_width: int):
         )
 
     return build_fabric, ExternalMemory()
-
-
-def sweep_arrival_rates(
-    run_at: "Callable[[int], dict]",
-    base_interarrival: int,
-    factor: float = 2.0,
-    steps: int = 5,
-    knee_utilization: float = 0.95,
-    knee_p99_factor: float = 3.0,
-) -> dict:
-    """Replay one workload at a geometric ladder of arrival rates.
-
-    ``run_at(mean_interarrival)`` must produce an open-loop simulation
-    report (fresh state per call — warm caches would let earlier,
-    relaxed rates subsidize later, aggressive ones).  The ladder starts
-    at ``base_interarrival`` and divides by ``factor`` each step,
-    rounding to whole cycles and stopping early once the gap bottoms
-    out; rows are therefore ordered relaxed-to-aggressive, which is
-    what :func:`~repro.runtime.costmodel.locate_knee` expects.  The
-    returned sweep report carries per-rate utilization/latency/queue
-    rows and the located saturation knee (or ``None`` when the swept
-    range never saturates).
-    """
-    from repro.runtime.costmodel import locate_knee
-
-    if base_interarrival < 1:
-        raise RuntimeManagementError(
-            "sweep base inter-arrival must be at least one cycle"
-        )
-    if factor <= 1.0:
-        raise RuntimeManagementError(
-            "sweep factor must exceed 1 (each step must tighten the rate)"
-        )
-    if steps < 2:
-        raise RuntimeManagementError(
-            "a sweep needs at least two rates to locate a knee between"
-        )
-    ladder: List[int] = []
-    for i in range(steps):
-        gap = max(1, round(base_interarrival / factor ** i))
-        if ladder and gap >= ladder[-1]:
-            break  # rounding bottomed out; further steps repeat
-        ladder.append(gap)
-    rows: List[dict] = []
-    for gap in ladder:
-        report = run_at(gap)
-        la = report.get("latency") or {}
-        qu = report.get("queue") or {}
-        ck = report.get("clock") or {}
-        rows.append({
-            "mean_interarrival": gap,
-            "arrival_rate": 1.0 / gap,
-            "utilization": ck.get("utilization", 0.0),
-            "p50": la.get("p50"),
-            "p99": la.get("p99"),
-            "max_latency": la.get("max"),
-            "requests": la.get("requests", 0),
-            "max_depth": qu.get("max_depth", 0),
-            "makespan": ck.get("makespan", 0),
-        })
-    return {
-        "sweep_version": 1,
-        "base_interarrival": base_interarrival,
-        "factor": factor,
-        "steps": len(rows),
-        "rates": rows,
-        "relaxed_p99": rows[0]["p99"] if rows else None,
-        "knee": locate_knee(rows, knee_utilization, knee_p99_factor),
-    }
-
-
-def run_sweep_scenario(
-    kind: str = "zipf",
-    n_tasks: int = 4,
-    length: int = 40,
-    seed: int = 3,
-    channel_width: int = 8,
-    cluster_size: int = 1,
-    cache_capacity: "int | None" = 16,
-    memo_entries: Optional[int] = 4096,
-    strategy: str = FIRST_FIT,
-    codecs: "str | Sequence[str] | None" = None,
-    base_interarrival: int = 2000,
-    factor: float = 2.0,
-    steps: int = 5,
-    zipf_alpha: float = 1.1,
-    servers: int = 1,
-    policy: "str | None" = None,
-    queue_threshold: int = 4,
-    knee_utilization: float = 0.95,
-    knee_p99_factor: float = 3.0,
-) -> dict:
-    """Synthesize one scenario and sweep it to its saturation knee.
-
-    The harness behind ``repro runtime sweep``: task images are
-    synthesized *once*, then every rate on the ladder gets a fresh
-    fabric, controller, decode cache and memo over the shared external
-    memory — so rates differ only in arrival pressure, never in cache
-    warmth.  The trace's task mix is byte-identical across rates (the
-    arrival clock draws from its own rng stream), making the knee a
-    pure function of the scenario parameters.
-    """
-    from repro.runtime.controller import ReconfigurationController
-
-    validate_trace_request(
-        kind, "poisson", base_interarrival, zipf_alpha, length=length
-    )
-    armed = make_policy(policy, queue_threshold=queue_threshold)
-    validate_replay_request(servers, policy=armed is not None)
-
-    images = synthesize_task_images(
-        n_tasks=n_tasks,
-        channel_width=channel_width,
-        cluster_size=cluster_size,
-        seed=seed,
-        codecs=codecs,
-    )
-    names = [name for name, _v in images]
-    build_fabric, memory = _scenario_fabric(images, channel_width)
-
-    def _build_controller():
-        return ReconfigurationController(
-            build_fabric(), memory,
-            cache_capacity=cache_capacity,
-            memo_entries=memo_entries,
-        )
-
-    publisher = _build_controller()
-    for name, vbs in images:
-        publisher.store_vbs(name, vbs)
-
-    def run_at(gap: int) -> dict:
-        # A name resolves to a fresh policy (and store) per rate.
-        manager = FabricManager(_build_controller(), strategy=strategy)
-        trace = generate_trace(
-            kind, names, length, seed=seed,
-            arrivals="poisson", mean_interarrival=gap,
-            zipf_alpha=zipf_alpha,
-        )
-        return WorkloadSimulator(
-            manager,
-            servers=servers,
-            policy=policy,
-            queue_threshold=queue_threshold,
-        ).run(trace)
-
-    sweep = sweep_arrival_rates(
-        run_at, base_interarrival,
-        factor=factor, steps=steps,
-        knee_utilization=knee_utilization,
-        knee_p99_factor=knee_p99_factor,
-    )
-    sweep["trace"] = {
-        "kind": kind, "seed": seed, "length": length, "tasks": names,
-    }
-    sweep["servers"] = servers
-    sweep["policy"] = armed.kind if armed is not None else "none"
-    sweep["scenario"] = {
-        "n_tasks": n_tasks,
-        "channel_width": channel_width,
-        "cluster_size": cluster_size,
-        "strategy": strategy,
-    }
-    return sweep
-
-
-def summarize_sweep(sweep: dict) -> str:
-    """A terse human-readable digest of an arrival-rate sweep report."""
-    tr = sweep.get("trace", {})
-    lines = [
-        f"sweep: {tr.get('kind', '?')} seed={tr.get('seed', '?')} "
-        f"({tr.get('length', '?')} events) x {sweep['steps']} rates, "
-        f"servers={sweep.get('servers', 1)}, "
-        f"policy={sweep.get('policy', 'none')}",
-    ]
-    for row in sweep["rates"]:
-        p99 = row["p99"] if row["p99"] is not None else "-"
-        lines.append(
-            f"  gap {row['mean_interarrival']}: "
-            f"utilization {row['utilization']:.1%}, p99 {p99}, "
-            f"max depth {row['max_depth']}"
-        )
-    knee = sweep.get("knee")
-    if knee is None:
-        lines.append("knee: not reached within the swept range")
-    else:
-        lines.append(
-            f"knee: gap {knee['mean_interarrival']} "
-            f"(utilization {knee['utilization']:.1%}, p99 {knee['p99']}, "
-            f"{knee['p99_over_relaxed']:.1f}x relaxed)"
-        )
-    return "\n".join(lines)
 
 
 def summarize_report(report: dict) -> str:
@@ -1361,8 +1109,7 @@ def summarize_report(report: dict) -> str:
             f"(threshold {ad['queue_threshold']}) — "
             f"{ad['admitted']} admitted "
             f"({lanes.get('hot', 0)} hot / {lanes.get('cold', 0)} cold), "
-            f"{ad['deferred']} deferred, {ad['dropped']} dropped; "
-            f"store holds {ad['store']['samples']} samples"
+            f"{ad['deferred']} deferred, {ad['dropped']} dropped"
         )
     fleet = report.get("fleet")
     if fleet is not None:

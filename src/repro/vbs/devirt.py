@@ -42,11 +42,8 @@ exact code, so offline success guarantees online success.
 
 from __future__ import annotations
 
-import os
-import pickle
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.arch.macro import ClusterModel
@@ -56,11 +53,6 @@ Pair = Tuple[int, int]
 
 #: Maximum times one connection may be re-attempted after rip-ups.
 MAX_TRIES_PER_CONNECTION = 4
-
-#: Version stamp of the persisted memo file; files written by a different
-#: format version are silently ignored on ``load`` (mirrors the decode
-#: cache's ``CACHE_FILE_FORMAT`` convention).
-MEMO_FILE_FORMAT = 1
 
 
 class DecodeMemo:
@@ -97,8 +89,6 @@ class DecodeMemo:
         ] = {}
         self.hits = 0
         self.misses = 0
-        #: Entries restored from a persisted memo file (``load``).
-        self.restored = 0
 
     def _insert(
         self,
@@ -124,120 +114,6 @@ class DecodeMemo:
     def clear(self) -> None:
         """Drop every entry (counters are kept — they describe history)."""
         self._entries.clear()
-
-    # -- persistence -------------------------------------------------------------
-
-    def save(self, path: "Path | str") -> int:
-        """Persist every entry into one version-stamped file; returns count.
-
-        The memo is the cross-run complement of the decode cache's
-        per-entry files: one pickle holding the whole LRU-ordered entry
-        map (keys embed the architecture parameters, so one file can mix
-        entries from different archs safely).  Written to a temporary
-        name and atomically renamed, like the cache files, so concurrent
-        savers never expose a torn file.
-        """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entries = list(self._entries.items())
-        payload = {"format": MEMO_FILE_FORMAT, "entries": entries}
-        tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
-        tmp.write_bytes(pickle.dumps(payload))
-        os.replace(tmp, path)
-        return len(entries)
-
-    def load(self, path: "Path | str", run_id: Optional[str] = None) -> int:
-        """Restore persisted entries from ``path``; returns count.
-
-        Tolerant by construction: a missing, corrupt, truncated,
-        wrongly-typed or version-mismatched file restores nothing and is
-        never fatal.  Live entries are never displaced: keys already
-        resident are left untouched (the live entry is at least as
-        fresh) and a bounded memo only restores into its *free room*,
-        preferring the file's most-recently-used tail (the file is
-        LRU-to-MRU ordered).  The hit/miss counters are not disturbed —
-        ``restored`` counts entries that became resident.
-
-        ``run_id`` restricts the load to delta files stamped by that
-        pool run (:meth:`dump_delta`): a file carrying a different stamp
-        — or none, like a stale delta left behind by a crashed run —
-        restores nothing.  ``None`` accepts any file (the regular
-        persisted-memo case).
-        """
-        try:
-            payload = pickle.loads(Path(path).read_bytes())
-        except Exception:
-            return 0  # corrupt/truncated/missing file: never fatal
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != MEMO_FILE_FORMAT
-            or not isinstance(payload.get("entries"), list)
-        ):
-            return 0
-        if run_id is not None and payload.get("run") != run_id:
-            return 0  # foreign/stale delta: never merged
-        fresh: List[tuple] = []
-        for item in payload["entries"]:
-            if not (isinstance(item, tuple) and len(item) == 2):
-                continue
-            key, value = item
-            if not (isinstance(key, tuple) and len(key) == 4):
-                continue
-            if not (isinstance(value, tuple) and len(value) == 2):
-                continue
-            if key in self._entries:
-                continue
-            fresh.append((key, value))
-        if self.max_entries is not None:
-            room = self.max_entries - len(self._entries)
-            if room <= 0:
-                return 0
-            fresh = fresh[-room:]
-        for key, value in fresh:
-            self._insert(key, value)
-        self.restored += len(fresh)
-        return len(fresh)
-
-    def snapshot_keys(self) -> frozenset:
-        """The keys currently resident — a baseline for :meth:`dump_delta`."""
-        return frozenset(self._entries)
-
-    def dump_delta(
-        self,
-        path: "Path | str",
-        baseline: frozenset,
-        run_id: Optional[str] = None,
-    ) -> int:
-        """Persist only the entries gained since ``baseline``; returns count.
-
-        Same file format as :meth:`save` (so :meth:`load` folds a delta
-        file like any other memo file), same atomic rename.  Process-pool
-        workers use this at exit: each dumps what it discovered beyond
-        its warm start into a private per-worker file, and the parent
-        merges the deltas into the shared persisted memo.  Writes nothing
-        when there is nothing new.
-
-        ``run_id`` stamps the payload with the pool run that produced it;
-        the parent merges with ``load(path, run_id=...)`` so a stale
-        delta left behind by a crashed or killed run can never be folded
-        into a later run's memo.
-        """
-        entries = [
-            (key, value)
-            for key, value in self._entries.items()
-            if key not in baseline
-        ]
-        if not entries:
-            return 0
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"format": MEMO_FILE_FORMAT, "entries": entries}
-        if run_id is not None:
-            payload["run"] = run_id
-        tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
-        tmp.write_bytes(pickle.dumps(payload))
-        os.replace(tmp, path)
-        return len(entries)
 
     def decode(
         self,

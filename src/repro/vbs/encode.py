@@ -32,7 +32,6 @@ or the Section V compact-logic coding when ``compact_logic=True``).
 
 from __future__ import annotations
 
-import uuid
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -528,23 +527,6 @@ class EncodeContext:
     codec_names: "str | Tuple[str, ...] | None"
     max_orders: int
     order_seed: int
-    #: Persisted-memo warm start for process workers: each worker loads
-    #: this :meth:`DecodeMemo.save` file into its private memo at pool
-    #: init (memos do not cross process boundaries, but a file does).
-    #: ``None`` keeps the historical cold per-worker memo.
-    memo_path: Optional[str] = None
-    #: Merge-on-exit scratch directory: when set, each process worker
-    #: dumps the memo entries it discovered beyond its warm start into
-    #: ``merge_dir/worker-<run_id>-<pid>.pkl`` at interpreter exit, and
-    #: the parent folds the per-worker deltas into the shared memo after
-    #: the pool shuts down.  ``None`` (serial runs, or no
-    #: ``memo_path``) disables the dump.
-    merge_dir: Optional[str] = None
-    #: Identity of this pool run, stamped into delta file names and
-    #: payloads.  The parent merges only deltas carrying its own stamp,
-    #: so stale files left in a scratch directory by a crashed or killed
-    #: run are never folded into a later run's memo.
-    run_id: Optional[str] = None
 
 
 @dataclass
@@ -688,51 +670,6 @@ def _process_worker_init(ctx: EncodeContext) -> None:
     global _WORKER_CTX, _WORKER_MEMO
     _WORKER_CTX = ctx
     _WORKER_MEMO = DecodeMemo()
-    if ctx.memo_path is not None:
-        # Warm start from the persisted memo (tolerant load: a corrupt
-        # or missing file just leaves the worker memo cold).
-        _WORKER_MEMO.load(ctx.memo_path)
-    if ctx.merge_dir is not None:
-        # Merge-on-exit: dump everything discovered beyond the warm
-        # start into a per-worker delta file when the worker exits.
-        # Pool workers leave through ``os._exit`` (multiprocessing's
-        # ``_bootstrap``), which skips ``atexit`` — the hook that does
-        # run there is ``multiprocessing.util``'s finalizer registry,
-        # on both fork and spawn.  The parent folds the deltas into the
-        # persisted memo after the pool shuts down.
-        import os as _os
-        from multiprocessing import util as _mp_util
-        from pathlib import Path as _Path
-
-        memo = _WORKER_MEMO
-        baseline = memo.snapshot_keys()
-        tag = f"{ctx.run_id}-" if ctx.run_id is not None else ""
-        delta_path = _Path(ctx.merge_dir) / f"worker-{tag}{_os.getpid()}.pkl"
-        _mp_util.Finalize(
-            None, memo.dump_delta,
-            args=(delta_path, baseline, ctx.run_id),
-            exitpriority=0,
-        )
-
-
-def _merge_worker_deltas(
-    memo: DecodeMemo, merge_dir: str, run_id: Optional[str]
-) -> int:
-    """Fold this run's per-worker delta files into ``memo``; returns count.
-
-    Every ``worker-*.pkl`` in the scratch directory is considered (sorted
-    for determinism; overlapping keys carry identical deterministic
-    results, first file wins), but only deltas whose payload carries this
-    run's ``run_id`` stamp restore anything — a stale delta left behind
-    by a crashed or killed pool run, which shares the name pattern but
-    not the stamp, is ignored rather than folded into a foreign memo.
-    """
-    from pathlib import Path
-
-    merged = 0
-    for delta in sorted(Path(merge_dir).glob("worker-*.pkl")):
-        merged += memo.load(delta, run_id=run_id)
-    return merged
 
 
 #: Work-item chunks handed to each process worker are sized so every
@@ -1168,7 +1105,6 @@ def encode_design(
     codecs: "str | Sequence[str] | None" = None,
     workers: Optional[int] = None,
     memo: Optional[DecodeMemo] = None,
-    memo_path: "str | None" = None,
     predictor: "Optional[object]" = None,
 ) -> VirtualBitstream:
     """Run vbsgen over a routed design at the given coding granularity.
@@ -1190,8 +1126,7 @@ def encode_design(
     byte-identical to a serial run.  Process workers keep a private
     per-process memo; the caller-supplied ``memo`` is not consulted for
     work items on that path (live memos do not cross process
-    boundaries), though with ``memo_path`` set the worker deltas are
-    folded back into it after the pool exits.
+    boundaries).
 
     ``memo`` shares a :class:`DecodeMemo` *across* encode invocations —
     a cluster-size or codec sweep over the same design replays identical
@@ -1212,17 +1147,6 @@ def encode_design(
     byte-identical across worker counts.  Containers serialize at the
     lowest version able to carry them (2, 3 or 4).
 
-    ``memo_path`` persists the memo across *processes* the way ``memo``
-    shares it across invocations: the run warm-starts from the file
-    (tolerantly — a missing or corrupt file restores nothing) and saves
-    the extended memo back when done.  Process workers mirror the warm
-    start into their private per-worker memos through the pool
-    initializer and dump what they discovered beyond it into per-worker
-    delta files at exit; the parent folds the deltas into the shared
-    memo after the pool shuts down, so pool discoveries warm subsequent
-    runs exactly like serial ones.  Never changes the emitted
-    bytes — the memo only skips deterministic router replays.
-
     ``predictor`` shares a :class:`~repro.vbs.predictor.CodecPredictor`
     across invocations the way ``memo`` shares decode work: the family
     pass shortlists its per-record codec trials from the store's
@@ -1239,13 +1163,6 @@ def encode_design(
         predictor.begin_session()
     if memo is None:
         memo = DecodeMemo()
-    if memo_path is not None:
-        # On the pooled process path the parent memo is not consulted
-        # for work items (workers warm-start themselves through the pool
-        # initializer), but the parent still loads the file so the
-        # post-pool save preserves its entries alongside the merged
-        # worker deltas.
-        memo.load(memo_path)
     pipeline = _encode_pipeline(
         design, placement, routing, rrg, config,
         cluster_size=cluster_size,
@@ -1255,7 +1172,6 @@ def encode_design(
         codecs=codecs,
         workers=workers,
         memo=memo,
-        memo_path=memo_path,
     )
     layout, records = pipeline.layout, pipeline.records
     if pipeline.allowed is not None:
@@ -1263,8 +1179,6 @@ def encode_design(
             records, layout, pipeline.allowed, pipeline.raw_frames,
             predictor=predictor, stats=pipeline.stats,
         )
-    if memo_path is not None:
-        memo.save(memo_path)
     return _finalize_container(layout, records, pipeline.stats)
 
 
@@ -1317,7 +1231,6 @@ def _encode_pipeline(
     codecs: "str | Sequence[str] | None",
     workers: Optional[int],
     memo: Optional[DecodeMemo],
-    memo_path: "str | None" = None,
 ) -> _PipelineResult:
     """Everything before the sequential family pass: work-item
     construction, the (possibly pooled) per-cluster encode, and the
@@ -1339,7 +1252,6 @@ def _encode_pipeline(
         codec_names=codec_selection,
         max_orders=max_orders,
         order_seed=order_seed,
-        memo_path=str(memo_path) if memo_path is not None else None,
     )
     if memo is None:
         memo = DecodeMemo()
@@ -1362,39 +1274,19 @@ def _encode_pipeline(
             ))
 
     if workers is not None and workers > 1:
-        import shutil
-        import tempfile
         from concurrent.futures import ProcessPoolExecutor
-        from dataclasses import replace as _dc_replace
-        from pathlib import Path as _Path
 
-        merge_dir: Optional[str] = None
-        run_id: Optional[str] = None
-        if ctx.memo_path is not None:
-            # Stage per-worker delta files next to the persisted memo so
-            # the atomic renames stay on one filesystem.
-            merge_dir = tempfile.mkdtemp(
-                prefix="memo-merge-", dir=str(_Path(ctx.memo_path).parent)
-            )
-            run_id = uuid.uuid4().hex
-            ctx = _dc_replace(ctx, merge_dir=merge_dir, run_id=run_id)
         chunks = _chunk_work_items(items, workers)
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_process_worker_init,
-                initargs=(ctx,),
-            ) as pool:
-                outcomes = [
-                    outcome
-                    for batch in pool.map(_process_encode_chunk, chunks)
-                    for outcome in batch
-                ]
-            if merge_dir is not None:
-                _merge_worker_deltas(memo, merge_dir, run_id)
-        finally:
-            if merge_dir is not None:
-                shutil.rmtree(merge_dir, ignore_errors=True)
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_process_worker_init,
+            initargs=(ctx,),
+        ) as pool:
+            outcomes = [
+                outcome
+                for batch in pool.map(_process_encode_chunk, chunks)
+                for outcome in batch
+            ]
     else:
         outcomes = [_encode_cluster(item, ctx, memo) for item in items]
 
@@ -1508,7 +1400,6 @@ def encode_task(
     codecs: "str | Sequence[str] | None" = "auto",
     workers: Optional[int] = None,
     memo: Optional[DecodeMemo] = None,
-    memo_path: "str | None" = None,
     predictor: "Optional[object]" = None,
 ) -> TaskEncodeResult:
     """Encode several routed designs as *one task* sharing a dictionary.
@@ -1533,9 +1424,8 @@ def encode_task(
     compact-logic flag — a pattern table only makes sense over one
     coding geometry.  The result is byte-identical serial or pooled
     (``workers`` > 1): the task-scope selection runs after the
-    deterministic raster-order merges.  ``memo``/``memo_path``
-    behave exactly as in :func:`encode_design` (cross-invocation and
-    persisted warm starts; bytes never change).
+    deterministic raster-order merges.  ``memo`` behaves exactly as in
+    :func:`encode_design` (cross-invocation reuse; bytes never change).
     """
     if not jobs:
         raise VbsError("encode_task needs at least one (flow, config) job")
@@ -1548,11 +1438,6 @@ def encode_task(
         )
     if memo is None:
         memo = DecodeMemo()
-    if memo_path is not None:
-        # Same contract as encode_design: worker deltas are merged into
-        # this memo by each pipeline, and the save below persists the
-        # union.
-        memo.load(memo_path)
     pipelines = [
         _encode_pipeline(
             flow.design, flow.placement, flow.routing, flow.rrg, config,
@@ -1563,7 +1448,6 @@ def encode_task(
             codecs=codecs,
             workers=workers,
             memo=memo,
-            memo_path=memo_path,
         )
         for flow, config in jobs
     ]
@@ -1645,8 +1529,6 @@ def encode_task(
             records, layout = p.records, p.layout
         containers.append(_finalize_container(layout, records, p.stats))
 
-    if memo_path is not None:
-        memo.save(memo_path)
     return TaskEncodeResult(
         containers=containers,
         dict_id=dict_id,

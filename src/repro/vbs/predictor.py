@@ -7,10 +7,10 @@ the right thing to do exactly once per *kind* of cluster — the winning
 codec is a stable function of a few cheap cluster features, so the
 fleet/sweep workloads re-derive the same answers millions of times.
 
-:class:`CodecPredictor` is the encode-time twin of the runtime
-``PolicyStore`` (the recorded-knowledge idiom of Zhou et al. 2022,
-PAPERS.md): a persistable store mapping a quantized **feature key** to
-the codecs that have ever won a full trial under it, with win counts.
+:class:`CodecPredictor` applies the recorded-knowledge idiom of Zhou
+et al. 2022 (PAPERS.md) at encode time: a persistable store mapping a
+quantized **feature key** to the codecs that have ever won a full trial
+under it, with win counts.
 The family pass (``repro.vbs.encode._family_selection``) consults it to
 shortlist candidates instead of costing the whole family:
 

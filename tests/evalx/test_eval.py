@@ -159,8 +159,11 @@ class TestRunners:
 
         report = run_workload(tmp_path, n_tasks=2, length=8, seed=2)
         assert report["events"]["loads"] > 0
-        # The decode cache persisted next to the results cache.
-        assert list((tmp_path / "decode_cache").glob("decode_*.pkl"))
+        # Nothing but the report is persisted: a forced rerun starts
+        # from a cold decode cache and reproduces the report exactly.
+        assert not (tmp_path / "decode_cache").exists()
+        assert run_workload(tmp_path, n_tasks=2, length=8, seed=2,
+                            force=True) == report
         # Second call comes from the versioned JSON cache (no new flows
         # and no new simulation: identical object, including timestamps).
         again = run_workload(tmp_path, n_tasks=2, length=8, seed=2)

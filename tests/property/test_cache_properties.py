@@ -1,4 +1,4 @@
-"""Property tests for the byte-budgeted, persistable decode cache.
+"""Property tests for the byte-budgeted decode cache.
 
 Invariants pinned over randomized operation sequences:
 
@@ -9,22 +9,18 @@ Invariants pinned over randomized operation sequences:
 * LRU order is preserved under get/put refreshes (checked against a
   reference ``OrderedDict`` model);
 * stats counters stay consistent (``hits + misses == lookups``; the
-  byte ledger equals the sum of resident entry weights);
-* persistence round-trips losslessly, and corrupt/truncated/foreign
-  files in the cache directory are skipped, never fatal.
+  byte ledger equals the sum of resident entry weights), also when a
+  validated lookup rejects a stale entry and drops it as a miss.
 """
 
-import pickle
-import tempfile
 from collections import OrderedDict
-from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.arch import ArchParams
 from repro.bitstream.config import FabricConfig
 from repro.runtime import CachedDecode, DecodeCache
-from repro.runtime.costmodel import CACHE_FILE_FORMAT
 from repro.utils.bitarray import BitArray
 from repro.utils.geometry import Rect
 from repro.vbs.decode import DecodeStats
@@ -155,79 +151,71 @@ class TestCacheInvariants:
         assert cache.stats.evictions == 1
 
 
-def entries_equal(a: CachedDecode, b: CachedDecode) -> bool:
-    return (
-        a.config.content_equal(b.config)
-        and a.stats == b.stats
-        and a.codec_tags == b.codec_tags
-        and a.layout == b.layout
-        and a.expanded_bytes == b.expanded_bytes
-    )
+class TestCacheLookups:
+    @pytest.mark.parametrize("bounds", [
+        dict(capacity=None, capacity_bytes=None),
+        dict(capacity=0),
+        dict(capacity=None, capacity_bytes=0),
+    ])
+    def test_bad_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError):
+            DecodeCache(**bounds)
 
-
-class TestCachePersistence:
-    @COMMON
-    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(1, 5),
-                              st.integers(1, 5)),
-                    min_size=1, max_size=8))
-    def test_roundtrip_is_lossless(self, puts):
-        cache = DecodeCache(capacity=32)
-        for i, w, h in puts:
-            cache.put(key_of(i), make_entry(w, h, fill=i))
-        with tempfile.TemporaryDirectory() as tmp:
-            written = cache.save(tmp)
-            assert written == len(cache)
-            fresh = DecodeCache(capacity=32)
-            loaded = fresh.load(tmp)
-            assert loaded == len(cache)
-            assert set(fresh.keys()) == set(cache.keys())
-            assert fresh.total_bytes == cache.total_bytes
-            assert fresh.stats.restored == loaded
-            assert fresh.stats.lookups == 0  # restores are not lookups
-            for key in cache.keys():
-                assert entries_equal(
-                    fresh._entries[key], cache._entries[key]
-                )
-
-    def test_load_respects_byte_budget(self, tmp_path):
-        cache = DecodeCache(capacity=8)
-        for i in range(4):
-            cache.put(key_of(i), make_entry(3, 3, fill=i))
-        cache.save(tmp_path)
-        one = make_entry(3, 3).expanded_bytes
-        small = DecodeCache(capacity=None, capacity_bytes=2 * one)
-        small.load(tmp_path)
-        assert small.total_bytes <= 2 * one
-        assert len(small) == 2
-
-    def test_corrupt_and_foreign_files_skipped(self, tmp_path):
-        cache = DecodeCache(capacity=8)
-        cache.put(key_of(1), make_entry(2, 2))
-        cache.save(tmp_path)
-        (tmp_path / "decode_deadbeef.pkl").write_bytes(b"\x80garbage")
-        (tmp_path / "decode_short.pkl").write_bytes(b"")
-        (tmp_path / "decode_dict.pkl").write_bytes(
-            pickle.dumps({"format": CACHE_FILE_FORMAT + 1, "key": key_of(2),
-                          "entry": make_entry(1, 1)})
-        )
-        (tmp_path / "decode_wrongtype.pkl").write_bytes(
-            pickle.dumps({"format": CACHE_FILE_FORMAT, "key": key_of(3),
-                          "entry": "not an entry"})
-        )
-        fresh = DecodeCache(capacity=8)
-        assert fresh.load(tmp_path) == 1
-        assert fresh.keys() == [key_of(1)]
-
-    def test_resident_key_wins_over_persisted(self, tmp_path):
-        stale = DecodeCache(capacity=8)
-        stale.put(key_of(5), make_entry(2, 2, fill=1))
-        stale.save(tmp_path)
-        live = DecodeCache(capacity=8)
-        fresh_entry = make_entry(2, 2, fill=2)
-        live.put(key_of(5), fresh_entry)
-        assert live.load(tmp_path) == 0
-        assert live._entries[key_of(5)] is fresh_entry
-
-    def test_load_missing_dir_is_noop(self, tmp_path):
+    def test_rejected_entry_is_dropped_as_a_miss(self):
         cache = DecodeCache(capacity=4)
-        assert cache.load(tmp_path / "nope") == 0
+        cache.put(key_of(0), make_entry(2, 2))
+        cache.put(key_of(1), make_entry(3, 1))
+        before = cache.total_bytes
+        stale = cache.get(key_of(0), validator=lambda entry: False)
+        assert stale is None
+        assert cache.keys() == [key_of(1)]
+        assert cache.total_bytes == before - make_entry(2, 2).expanded_bytes
+        assert (cache.stats.hits, cache.stats.misses,
+                cache.stats.evictions) == (0, 1, 1)
+
+    def test_accepted_entry_is_a_hit_and_refreshed(self):
+        cache = DecodeCache(capacity=4)
+        entry = make_entry(2, 2)
+        cache.put(key_of(0), entry)
+        cache.put(key_of(1), make_entry(3, 1))
+        seen = []
+        hit = cache.get(key_of(0), validator=lambda e: seen.append(e) or True)
+        assert hit is entry and seen == [entry]
+        assert cache.keys() == [key_of(1), key_of(0)]
+        assert (cache.stats.hits, cache.stats.misses) == (1, 0)
+
+    def test_peek_counts_nothing_and_keeps_order(self):
+        cache = DecodeCache(capacity=4)
+        entry = make_entry(2, 2)
+        cache.put(key_of(0), entry)
+        cache.put(key_of(1), make_entry(3, 1))
+        assert cache.peek(key_of(0)) is entry
+        assert cache.peek(key_of(5)) is None
+        assert cache.keys() == [key_of(0), key_of(1)]
+        assert cache.stats.lookups == 0
+
+    def test_clear_empties_the_ledger(self):
+        cache = DecodeCache(capacity=None, capacity_bytes=10**6)
+        cache.put(key_of(0), make_entry(2, 2))
+        cache.put(key_of(1), make_entry(3, 1))
+        cache.clear()
+        assert len(cache) == 0 and cache.total_bytes == 0
+        assert cache.get(key_of(0)) is None
+
+    @COMMON
+    @given(OPS, st.integers(1, 6), st.lists(st.booleans(), min_size=1))
+    def test_validator_keeps_ledger_consistent(self, ops, capacity, verdicts):
+        """Validated lookups that reject entries keep every counter and
+        the byte ledger exact."""
+        cache = DecodeCache(capacity=capacity)
+        apply_ops(cache, ops)
+        for i, fresh in zip(range(10), verdicts * 10):
+            resident = cache.peek(key_of(i))
+            hit = cache.get(key_of(i), validator=lambda e, f=fresh: f)
+            assert hit is (resident if fresh else None)
+            if not fresh:
+                assert key_of(i) not in cache.keys()
+        assert cache.stats.hits + cache.stats.misses == cache.stats.lookups
+        assert cache.total_bytes == sum(
+            cache.peek(k).expanded_bytes for k in cache.keys()
+        )

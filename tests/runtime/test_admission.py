@@ -1,11 +1,9 @@
-"""Admission/QoS layer: policies, the recorded-latency store, sweeps.
+"""Admission/QoS layer: the defer-cold policy and k parallel servers.
 
 The load-bearing properties: ``policy="none"``/``servers=1`` leave the
 report byte-identical to the pre-QoS simulator, k parallel servers
-strictly cut the tail at a saturating arrival rate, drop-cold and
-defer-cold strictly bound the queue depth while the *hot* tail does not
-regress, and the saturation-knee sweep is a pure deterministic function
-of its scenario parameters.
+strictly cut the tail at a saturating arrival rate, and defer-cold
+strictly bounds the queue depth while the *hot* tail does not regress.
 """
 
 import json
@@ -15,26 +13,19 @@ import pytest
 from repro.arch import FabricArch
 from repro.errors import RuntimeManagementError
 from repro.runtime import (
-    AdmissionPolicy,
-    DeferColdPolicy,
-    DropColdPolicy,
     ExternalMemory,
     FabricManager,
     FleetManager,
     POLICY_KINDS,
-    PolicyStore,
-    PriorityPolicy,
     ReconfigurationController,
     WorkloadSimulator,
     generate_trace,
-    locate_knee,
     make_policy,
+    percentile,
     run_scenario,
-    run_sweep_scenario,
-    summarize_sweep,
-    sweep_arrival_rates,
     validate_policy_request,
 )
+from repro.runtime.admission import MAX_DEFERS, defers
 from repro.utils.bitarray import BitArray
 from repro.vbs.encode import VirtualBitstream
 from repro.vbs.format import ClusterRecord, VbsLayout
@@ -91,126 +82,57 @@ def _churn_trace(images, length=30, seed=4, gap=2):
     )
 
 
-class TestPolicyStore:
-    def test_bucket_mapping(self):
-        cases = {0: 0, 1: 1, 2: 2, 3: 2, 4: 4, 7: 4, 8: 8, 15: 8,
-                 16: 16, 100: 16, -5: 0}
-        for depth, bucket in cases.items():
-            assert PolicyStore.bucket(depth) == bucket, depth
-
-    def test_record_and_len(self):
-        store = PolicyStore()
-        assert len(store) == 0
-        store.record(True, 0, 100)
-        store.record(True, 3, 200)
-        store.record(False, 9, 5000)
-        assert len(store) == 3
-
-    def test_expected_latency_falls_back_to_pooled_then_zero(self):
-        store = PolicyStore()
-        # Nothing recorded at all: a knowledge-free reader must not
-        # prefer any shard or threshold over another.
-        assert store.expected_latency(True, 0) == 0.0
-        store.record(True, 0, 100)
-        store.record(True, 0, 300)
-        # Exact cell.
-        assert store.expected_latency(True, 0) == 200.0
-        # Empty bucket of a known temperature: pooled fallback.
-        assert store.expected_latency(True, 16) == 200.0
-        # The other temperature has no samples anywhere.
-        assert store.expected_latency(False, 0) == 0.0
-
-    def test_has_samples_distinguishes_measurement_from_fallback(self):
-        """``expected_latency`` answers something for any class once one
-        sample of the temperature exists; ``has_samples`` is how readers
-        tell that measured answer from the pooled guess / zero."""
-        store = PolicyStore()
-        assert not store.has_samples(True, 0)
-        store.record(True, 0, 100)
-        assert store.has_samples(True, 0)
-        # Same temperature, unmeasured bucket: pooled answer, no sample.
-        assert store.expected_latency(True, 16) == 100.0
-        assert not store.has_samples(True, 16)
-        # Other temperature: zero answer, no sample.
-        assert not store.has_samples(False, 0)
-        # Depths bucket together exactly like record() files them.
-        store.record(False, 3, 50)
-        assert store.has_samples(False, 2)
-        assert not store.has_samples(False, 4)
-
-    def test_tail_latency_none_on_empty(self):
-        store = PolicyStore()
-        assert store.tail_latency(False, 0) is None
-        for latency in (10, 20, 30, 40):
-            store.record(False, 2, latency)
-        assert store.tail_latency(False, 2) == 40
-        assert store.tail_latency(False, 2, p=50) == 20
-        # Pooled fallback serves unseen buckets too.
-        assert store.tail_latency(False, 16) == 40
-
-    def test_snapshot_is_json_safe(self):
-        store = PolicyStore()
-        store.record(True, 0, 100)
-        store.record(False, 5, 900)
-        snap = store.snapshot()
-        assert snap["samples"] == 2
-        assert set(snap["cells"]) == {"hot@0", "cold@4"}
-        assert snap["cells"]["cold@4"] == {
-            "count": 1, "mean": 900.0, "p99": 900,
-        }
-        json.dumps(snap)  # must round-trip without a custom encoder
-
-
 class TestPolicyValidation:
     def test_unknown_policy_rejected(self):
         with pytest.raises(RuntimeManagementError,
                            match="unknown admission policy"):
             validate_policy_request("lifo")
+        # Retired policies fail typed, before any synthesis.
+        for retired in ("drop-cold", "priority"):
+            with pytest.raises(RuntimeManagementError,
+                               match="unknown admission policy"):
+                run_scenario(kind="zipf", n_tasks=2, length=8,
+                             arrivals="poisson", policy=retired)
+
+    @pytest.mark.parametrize("name", [
+        "drop-cold", "priority", "Defer-Cold", "defer_cold", "",
+    ])
+    def test_retired_and_misspelt_names_fail_typed(self, name):
+        # Policy names match exactly; the retired drop-cold and priority
+        # policies are unknown names like any other.
+        with pytest.raises(RuntimeManagementError,
+                           match="unknown admission policy"):
+            validate_policy_request(name)
+        with pytest.raises(RuntimeManagementError,
+                           match="unknown admission policy"):
+            make_policy(name, queue_threshold=4)
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(RuntimeManagementError,
                            match="queue threshold"):
-            validate_policy_request("drop-cold", queue_threshold=0)
+            validate_policy_request("defer-cold", queue_threshold=0)
         with pytest.raises(RuntimeManagementError,
                            match="queue threshold"):
-            DropColdPolicy(queue_threshold=-1)
-
-    def test_bad_deferral_bound_rejected(self):
-        with pytest.raises(RuntimeManagementError,
-                           match="deferral bound"):
-            DeferColdPolicy(max_defers=0)
+            make_policy("defer-cold", queue_threshold=-1)
 
     def test_make_policy_resolution(self):
+        assert POLICY_KINDS == ("none", "defer-cold")
         assert make_policy(None) is None
         assert make_policy("none") is None
-        for name in POLICY_KINDS[1:]:
-            policy = make_policy(name, queue_threshold=2)
-            assert policy is not None
-            assert policy.kind == name
-            assert policy.queue_threshold == 2
+        assert make_policy("defer-cold", queue_threshold=2) == "defer-cold"
         with pytest.raises(RuntimeManagementError,
                            match="unknown admission policy"):
             make_policy("fifo")
 
-    def test_make_policy_instance_and_store_passthrough(self):
-        store = PolicyStore()
-        built = DropColdPolicy(queue_threshold=3, store=store)
-        assert make_policy(built) is built
-        assert make_policy("defer-cold", store=store).store is store
-        # A fresh store per policy unless shared explicitly.
-        assert make_policy("drop-cold").store is not store
-
     def test_decide_triggers(self):
-        drop = DropColdPolicy(queue_threshold=4)
-        defer = DeferColdPolicy(queue_threshold=4)
-        for policy, verdict in ((drop, "drop"), (defer, "defer")):
-            assert policy.decide(hot=False, depth=4) == verdict
-            assert policy.decide(hot=False, depth=9) == verdict
-            assert policy.decide(hot=False, depth=3) == "admit"
-            assert policy.decide(hot=True, depth=100) == "admit"
-        # The base policy and priority never shed anything at the door.
-        assert AdmissionPolicy().decide(False, 100) == "admit"
-        assert PriorityPolicy().decide(False, 100) == "admit"
+        assert defers(hot=False, depth=4, queue_threshold=4, attempts=0)
+        assert defers(hot=False, depth=9, queue_threshold=4, attempts=0)
+        assert not defers(hot=False, depth=3, queue_threshold=4, attempts=0)
+        assert not defers(hot=True, depth=100, queue_threshold=4,
+                          attempts=0)
+        # Deferral is bounded: past the bound the request is admitted.
+        assert defers(False, 9, 4, attempts=MAX_DEFERS - 1)
+        assert not defers(False, 9, 4, attempts=MAX_DEFERS)
 
 
 class TestSimulatorAdmission:
@@ -231,44 +153,11 @@ class TestSimulatorAdmission:
         assert json.dumps(plain, sort_keys=True) == \
                json.dumps(named, sort_keys=True)
 
-    def test_armed_base_policy_admits_everything(self, params5, images):
-        report = WorkloadSimulator(
-            _manager(params5, images), policy=AdmissionPolicy()
-        ).run(_churn_trace(images))
-        ad = report["admission"]
-        assert ad["policy"] == "none"
-        assert ad["dropped"] == 0 and ad["deferred"] == 0
-        assert ad["admitted"] == report["queue"]["arrivals"]
-        assert ad["lanes"]["hot"] + ad["lanes"]["cold"] == ad["admitted"]
-        # Every serviced request was filed in the knowledge base.
-        assert ad["store"]["samples"] == report["latency"]["requests"]
-
-    def test_drop_cold_sheds_load(self, params5, images):
+    def test_defer_cold_retries_without_loss(self, params5, images):
         # No decode cache: temperature is fabric residency alone, and
         # max_resident=1 churn guarantees cold reloads under pressure.
         baseline = WorkloadSimulator(
             _manager(params5, images, cache_capacity=0),
-            policy=AdmissionPolicy(),
-        ).run(_churn_trace(images))
-        report = WorkloadSimulator(
-            _manager(params5, images, cache_capacity=0),
-            policy="drop-cold", queue_threshold=1,
-        ).run(_churn_trace(images))
-        ad = report["admission"]
-        assert ad["policy"] == "drop-cold"
-        assert ad["dropped"] >= 1
-        assert ad["deferred"] == 0
-        # Door conservation: every arriving group is admitted or dropped.
-        assert ad["admitted"] + ad["dropped"] == \
-               baseline["queue"]["arrivals"]
-        assert report["queue"]["arrivals"] == ad["admitted"]
-        # Dropped requests never reach the fabric manager.
-        assert report["events"]["loads"] < baseline["events"]["loads"]
-
-    def test_defer_cold_retries_without_loss(self, params5, images):
-        baseline = WorkloadSimulator(
-            _manager(params5, images, cache_capacity=0),
-            policy=AdmissionPolicy(),
         ).run(_churn_trace(images))
         report = WorkloadSimulator(
             _manager(params5, images, cache_capacity=0),
@@ -281,24 +170,15 @@ class TestSimulatorAdmission:
         # Deferral sheds nothing: every group is eventually admitted.
         assert ad["admitted"] == baseline["queue"]["arrivals"]
         assert report["queue"]["arrivals"] == ad["admitted"]
-
-    def test_priority_policy_counts_lanes(self, params5, images):
-        report = WorkloadSimulator(
-            _manager(params5, images, cache_capacity=0),
-            policy="priority", servers=2,
-        ).run(_churn_trace(images))
-        ad = report["admission"]
-        assert ad["policy"] == "priority"
-        assert ad["dropped"] == 0 and ad["deferred"] == 0
-        assert ad["lanes"]["cold"] >= 1  # churn forces cold reloads
         assert ad["lanes"]["hot"] + ad["lanes"]["cold"] == ad["admitted"]
+        assert ad["lanes"]["cold"] >= 1
 
     def test_policy_needs_open_loop_trace(self, params5, images):
         closed = generate_trace(
             "round-robin", [n for n, _v in images], 8, seed=1
         )
         sim = WorkloadSimulator(
-            _manager(params5, images), policy="drop-cold"
+            _manager(params5, images), policy="defer-cold"
         )
         with pytest.raises(RuntimeManagementError, match="open-loop"):
             sim.run(closed)
@@ -313,7 +193,7 @@ class TestSimulatorAdmission:
             WorkloadSimulator(fleet=fleet, servers=2)
         with pytest.raises(RuntimeManagementError,
                            match="single-manager"):
-            WorkloadSimulator(fleet=fleet, policy="drop-cold")
+            WorkloadSimulator(fleet=fleet, policy="defer-cold")
 
     def test_parallel_servers_preserve_event_totals(self, params5, images):
         trace = _churn_trace(images, length=40, seed=6)
@@ -330,11 +210,90 @@ class TestSimulatorAdmission:
         assert 0.0 <= three["clock"]["utilization"] <= 1.0
 
 
+class TestDeferralBound:
+    """defer-cold sheds load, never work: every request is admitted in
+    the end, hot requests always pass, and no request waits at the door
+    more than MAX_DEFERS times."""
+
+    @pytest.fixture
+    def door_log(self, monkeypatch):
+        """Every door decision as ``(hot, attempts, deferred)``."""
+        from repro.runtime import workload
+
+        decisions = []
+        decide = workload.defers
+
+        def logged(hot, depth, queue_threshold, attempts):
+            deferred = decide(hot, depth, queue_threshold, attempts)
+            decisions.append((hot, attempts, deferred))
+            return deferred
+
+        monkeypatch.setattr(workload, "defers", logged)
+        return decisions
+
+    @staticmethod
+    def _replay(params5, images, **kwargs):
+        # No decode cache and max_resident=1 churn: cold reloads queue
+        # up behind each other, so a threshold of one defers often.
+        return WorkloadSimulator(
+            _manager(params5, images, cache_capacity=0),
+            policy="defer-cold", queue_threshold=1, **kwargs,
+        ).run(_churn_trace(images, length=40, gap=1))
+
+    @pytest.mark.parametrize("servers", [1, 2, 3])
+    def test_every_request_admitted_hot_never_deferred(
+        self, params5, images, door_log, servers
+    ):
+        unarmed = WorkloadSimulator(
+            _manager(params5, images, cache_capacity=0), servers=servers,
+        ).run(_churn_trace(images, length=40, gap=1))
+        report = self._replay(params5, images, servers=servers)
+        ad = report["admission"]
+        assert ad["deferred"] >= 1
+        assert ad["dropped"] == 0
+        assert ad["admitted"] == unarmed["queue"]["arrivals"]
+        assert ad["lanes"]["hot"] + ad["lanes"]["cold"] == ad["admitted"]
+        # One door decision per admission or deferral.
+        assert len(door_log) == ad["admitted"] + ad["deferred"]
+        assert not any(hot and deferred for hot, _a, deferred in door_log)
+        assert max(attempts for _h, attempts, _d in door_log) <= MAX_DEFERS
+
+    def test_request_at_the_bound_is_admitted(
+        self, params5, images, door_log
+    ):
+        # Two servers: the door retries at the earlier-free server, so
+        # a cold request can meet a deep queue on every retry.
+        report = self._replay(params5, images, servers=2)
+        at_bound = [d for d in door_log if d[1] == MAX_DEFERS]
+        assert at_bound
+        assert not any(deferred for _h, _a, deferred in at_bound)
+        assert report["admission"]["dropped"] == 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_unreachable_threshold_is_the_unarmed_replay(
+        self, params5, images, seed
+    ):
+        trace = _churn_trace(images, length=30, seed=seed)
+        unarmed = WorkloadSimulator(_manager(params5, images)).run(trace)
+        armed = WorkloadSimulator(
+            _manager(params5, images), policy="defer-cold",
+            queue_threshold=10**9,
+        ).run(trace)
+        ad = armed.pop("admission")
+        assert json.dumps(armed, sort_keys=True) == \
+               json.dumps(unarmed, sort_keys=True)
+        assert sorted(ad) == ["admitted", "deferred", "dropped", "lanes",
+                              "policy", "queue_threshold"]
+        assert (ad["deferred"], ad["dropped"]) == (0, 0)
+        assert ad["admitted"] == unarmed["queue"]["arrivals"]
+        assert ad["lanes"]["hot"] + ad["lanes"]["cold"] == ad["admitted"]
+
+
 @pytest.mark.integration
 class TestAdmissionAcceptance:
     """run_scenario-level QoS contract: byte-identity when unarmed,
     strictly lower p99 with k servers, strictly bounded queue depth
-    under drop/defer with no hot-tail regression."""
+    under defer-cold with no hot-tail regression."""
 
     SATURATING = dict(kind="zipf", n_tasks=4, length=40, seed=3,
                       arrivals="poisson", mean_interarrival=200)
@@ -372,239 +331,83 @@ class TestAdmissionAcceptance:
         # lower utilization, never a value past 1.
         assert 0.0 < quad["clock"]["utilization"] <= 1.0
 
-    @pytest.mark.parametrize("policy_cls", [DropColdPolicy,
-                                            DeferColdPolicy])
     def test_admission_bounds_queue_without_hot_regression(
-        self, policy_cls
+        self, monkeypatch
     ):
-        # Shared-store instances: the baseline replay files its hot/cold
-        # latencies in one knowledge base, the policy replay in another,
-        # so the hot tails are comparable afterwards.
-        base_store = PolicyStore()
-        baseline = run_scenario(
-            **self.ADMISSION,
-            policy=AdmissionPolicy(store=base_store),
+        from repro.runtime import workload
+        from repro.runtime.fleet import ServerBank
+
+        unarmed = run_scenario(**self.ADMISSION)
+        # Pair every serviced request's latency with the temperature
+        # its request met at the door.
+        door = {}
+        samples = []
+        subject = workload._request_subject
+        charge = ServerBank.charge
+
+        def request_subject(manager, events):
+            name, hot = subject(manager, events)
+            door["hot"] = hot
+            return name, hot
+
+        def charged(bank, request, clock_at, arrival, cost):
+            charge(bank, request, clock_at, arrival, cost)
+            if cost is not None:
+                samples.append((door["hot"], bank.latencies[-1]))
+
+        monkeypatch.setattr(workload, "_request_subject", request_subject)
+        monkeypatch.setattr(ServerBank, "charge", charged)
+
+        def replay(queue_threshold):
+            samples.clear()
+            report = run_scenario(
+                **self.ADMISSION, policy="defer-cold",
+                queue_threshold=queue_threshold,
+            )
+            return report, [lat for hot, lat in samples if hot]
+
+        # An armed door that never defers is the unarmed replay.
+        baseline, base_hot = replay(10**9)
+        assert baseline["admission"]["deferred"] == 0
+        strip = ("admission", "scenario")
+        assert (
+            {k: v for k, v in baseline.items() if k not in strip}
+            == {k: v for k, v in unarmed.items() if k not in strip}
         )
-        store = PolicyStore()
-        report = run_scenario(
-            **self.ADMISSION,
-            policy=policy_cls(queue_threshold=4, store=store),
-        )
+        report, hot = replay(4)
         ad = report["admission"]
-        assert ad["policy"] == policy_cls.kind
+        assert ad["policy"] == "defer-cold"
         assert ad["queue_threshold"] == 4
-        shed = ad["dropped"] if policy_cls is DropColdPolicy \
-            else ad["deferred"]
-        assert shed >= 1
-        # The acceptance criterion: shedding cold work strictly bounds
+        assert ad["deferred"] >= 1
+        # The acceptance criterion: deferring cold work strictly bounds
         # the queue while the hot tail does not regress.
-        assert report["queue"]["max_depth"] < \
-               baseline["queue"]["max_depth"]
-        hot_p99 = store.tail_latency(True, 0)
-        base_hot_p99 = base_store.tail_latency(True, 0)
-        assert hot_p99 is not None and base_hot_p99 is not None
-        assert hot_p99 <= base_hot_p99
+        assert (report["queue"]["max_depth"],
+                baseline["queue"]["max_depth"]) == (19, 21)
+        assert len(hot) == len(base_hot) == 17
+        assert (percentile(hot, 99), percentile(base_hot, 99)) == \
+            (14226, 25624)
 
     def test_policy_needs_arrivals_and_one_fabric(self):
         with pytest.raises(RuntimeManagementError, match="open-loop"):
             run_scenario(kind="zipf", n_tasks=2, length=8, seed=1,
-                         policy="drop-cold")
+                         policy="defer-cold")
         with pytest.raises(RuntimeManagementError,
                            match="single-fabric"):
             run_scenario(**self.SATURATING, shards=2, router="hash",
-                         policy="drop-cold")
+                         policy="defer-cold")
 
 
-class TestKneeLocation:
-    @staticmethod
-    def _row(gap, utilization, p99):
-        return {"mean_interarrival": gap, "utilization": utilization,
-                "p99": p99}
-
-    def test_bad_parameters_rejected(self):
-        with pytest.raises(RuntimeManagementError,
-                           match="utilization floor"):
-            locate_knee([], utilization_floor=0.0)
-        with pytest.raises(RuntimeManagementError, match="p99 factor"):
-            locate_knee([], p99_factor=1.0)
-
-    def test_no_serviced_rate_no_knee(self):
-        rows = [self._row(100, 0.0, None), self._row(50, 0.0, None)]
-        assert locate_knee(rows) is None
-
-    def test_first_qualifying_row_wins(self):
-        rows = [
-            self._row(400, 0.40, 100),   # relaxed baseline
-            self._row(200, 0.96, 250),   # saturated but tail held
-            self._row(100, 0.97, 330),   # knee: >= 3x relaxed
-            self._row(50, 0.99, 900),
-        ]
-        knee = locate_knee(rows)
-        assert knee["index"] == 2
-        assert knee["mean_interarrival"] == 100
-        assert knee["p99_over_relaxed"] == pytest.approx(3.3)
-
-    def test_unsaturated_sweep_has_no_knee(self):
-        rows = [self._row(400, 0.40, 100), self._row(200, 0.60, 120)]
-        assert locate_knee(rows) is None
-
-
-class TestArrivalSweep:
-    def test_bad_parameters_rejected(self):
-        run_at = lambda gap: {}
-        with pytest.raises(RuntimeManagementError,
-                           match="base inter-arrival"):
-            sweep_arrival_rates(run_at, 0)
-        with pytest.raises(RuntimeManagementError, match="factor"):
-            sweep_arrival_rates(run_at, 100, factor=1.0)
-        with pytest.raises(RuntimeManagementError,
-                           match="at least two rates"):
-            sweep_arrival_rates(run_at, 100, steps=1)
-
-    def test_ladder_stops_when_rounding_bottoms_out(self):
-        seen = []
-
-        def run_at(gap):
-            seen.append(gap)
-            return {"latency": None, "queue": None, "clock": None}
-
-        sweep = sweep_arrival_rates(run_at, 4, factor=2.0, steps=6)
-        # 4 -> 2 -> 1; further rungs would repeat gap 1 and are cut.
-        assert seen == [4, 2, 1]
-        assert sweep["steps"] == 3
-        assert [r["mean_interarrival"] for r in sweep["rates"]] == seen
-        assert sweep["relaxed_p99"] is None
-        assert sweep["knee"] is None
-
-    def test_rows_and_knee_from_reports(self):
-        canned = {
-            1000: (0.30, 100, 3),
-            500: (0.80, 180, 6),
-            250: (0.98, 450, 14),  # knee: saturated, 4.5x relaxed
-        }
-
-        def run_at(gap):
-            utilization, p99, depth = canned[gap]
-            return {
-                "latency": {"p50": p99 // 2, "p99": p99, "max": p99,
-                            "requests": 20},
-                "queue": {"max_depth": depth},
-                "clock": {"utilization": utilization, "makespan": 9000},
-            }
-
-        sweep = sweep_arrival_rates(run_at, 1000, factor=2.0, steps=3)
-        assert [r["arrival_rate"] for r in sweep["rates"]] == \
-               [1 / 1000, 1 / 500, 1 / 250]
-        assert sweep["relaxed_p99"] == 100
-        assert sweep["knee"]["index"] == 2
-        assert sweep["knee"]["mean_interarrival"] == 250
-        text = summarize_sweep(sweep)
-        assert "knee: gap 250" in text
-        assert "max depth 14" in text
-
-    def test_summary_reports_missing_knee(self):
-        sweep = sweep_arrival_rates(
-            lambda gap: {"latency": None, "queue": None, "clock": None},
-            10, factor=2.0, steps=2,
-        )
-        assert "knee: not reached" in summarize_sweep(sweep)
-
-
-@pytest.mark.integration
-class TestSweepScenario:
-    # The pinned deterministic knee of the CI smoke configuration
-    # (single server, 30-event trace): gap 78, rung 4 of the ladder
-    # 20000 -> 5000 -> 1250 -> 312 -> 78 -> 20.
-    KNEE_SWEEP = dict(n_tasks=3, length=30, seed=3,
-                      base_interarrival=20000, factor=4.0, steps=6)
-
-    def test_knee_is_pinned_and_deterministic(self):
-        sweep = run_sweep_scenario(**self.KNEE_SWEEP)
-        gaps = [r["mean_interarrival"] for r in sweep["rates"]]
-        assert gaps == [20000, 5000, 1250, 312, 78, 20]
-        knee = sweep["knee"]
-        assert knee is not None
-        assert knee["index"] == 4
-        assert knee["mean_interarrival"] == 78
-        assert knee["utilization"] >= 0.95
-        assert knee["p99_over_relaxed"] >= 3.0
-        again = run_sweep_scenario(**self.KNEE_SWEEP)
-        assert json.dumps(sweep, sort_keys=True) == \
-               json.dumps(again, sort_keys=True)
-
-    def test_relaxed_rates_stay_unsaturated(self):
-        sweep = run_sweep_scenario(**self.KNEE_SWEEP)
-        knee = sweep["knee"]
-        for row in sweep["rates"][:knee["index"]]:
-            assert (
-                row["utilization"] < 0.95
-                or row["p99"] < 3.0 * sweep["relaxed_p99"]
-            )
-
-    def test_sweep_carries_scenario_parameters(self):
-        sweep = run_sweep_scenario(**self.KNEE_SWEEP, servers=2,
-                                   policy="drop-cold")
-        assert sweep["servers"] == 2
-        assert sweep["policy"] == "drop-cold"
-        assert sweep["trace"]["kind"] == "zipf"
-        assert sweep["trace"]["seed"] == 3
-
-
-class TestSweepCli:
-    def test_sweep_writes_validated_artifact(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = tmp_path / "sweep.json"
-        rc = main([
-            "runtime", "sweep", "--tasks", "2", "--length", "12",
-            "--seed", "1", "--base-interarrival", "400",
-            "--factor", "2", "--steps", "3", "--json", str(out),
-        ])
-        assert rc == 0
-        sweep = json.loads(out.read_text())
-        assert sweep["sweep_version"] == 1
-        gaps = [r["mean_interarrival"] for r in sweep["rates"]]
-        assert gaps == sorted(gaps, reverse=True)
-        assert len(set(gaps)) == len(gaps)
-        assert "sweep: zipf" in capsys.readouterr().out
-
-    def test_require_knee_exits_one_when_unsaturated(self, tmp_path,
-                                                     capsys):
-        from repro.cli import main
-
-        out = tmp_path / "sweep.json"
-        # Two relaxed rungs cannot saturate the clock: the gate trips.
-        rc = main([
-            "runtime", "sweep", "--tasks", "2", "--length", "10",
-            "--seed", "1", "--base-interarrival", "100000",
-            "--factor", "2", "--steps", "2", "--require-knee",
-            "--json", str(out),
-        ])
-        assert rc == 1
-        assert not out.exists()
-        assert "no saturation knee" in capsys.readouterr().err
-
-    def test_sweep_validation_exits_two(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = tmp_path / "sweep.json"
-        rc = main([
-            "runtime", "sweep", "--tasks", "2", "--length", "10",
-            "--steps", "1", "--json", str(out),
-        ])
-        assert rc == 2
-        assert not out.exists()
-        assert "at least two rates" in capsys.readouterr().err
-
+class TestAdmissionCli:
     def test_unknown_policy_exits_two(self, capsys):
         from repro.cli import main
 
-        rc = main([
-            "runtime", "simulate", "--tasks", "2", "--length", "8",
-            "--arrivals", "poisson", "--policy", "lifo",
-        ])
-        assert rc == 2
-        assert "unknown admission policy" in capsys.readouterr().err
+        for policy in ("lifo", "drop-cold", "priority"):
+            rc = main([
+                "runtime", "simulate", "--tasks", "2", "--length", "8",
+                "--arrivals", "poisson", "--policy", policy,
+            ])
+            assert rc == 2
+            assert "unknown admission policy" in capsys.readouterr().err
 
     def test_simulate_reports_admission_section(self, tmp_path, capsys):
         from repro.cli import main
@@ -613,13 +416,14 @@ class TestSweepCli:
         rc = main([
             "runtime", "simulate", "--kind", "zipf", "--tasks", "3",
             "--length", "16", "--seed", "2", "--arrivals", "poisson",
-            "--mean-interarrival", "200", "--policy", "drop-cold",
+            "--mean-interarrival", "200", "--policy", "defer-cold",
             "--queue-threshold", "2", "--servers", "2",
             "--json", str(out),
         ])
         assert rc == 0
         report = json.loads(out.read_text())
-        assert report["admission"]["policy"] == "drop-cold"
+        assert report["admission"]["policy"] == "defer-cold"
         assert report["admission"]["queue_threshold"] == 2
+        assert "store" not in report["admission"]
         assert report["clock"]["servers"] == 2
-        assert "admission: drop-cold" in capsys.readouterr().out
+        assert "admission: defer-cold" in capsys.readouterr().out

@@ -19,7 +19,6 @@ from repro.runtime import (
     FabricManager,
     FleetManager,
     LoadAwareRouter,
-    PolicyStore,
     ReconfigurationController,
     TraceEvent,
     WorkloadSimulator,
@@ -142,46 +141,79 @@ class TestRouters:
         fleet.banks[1].server_free = [200]
         assert fleet.router.choose("a", fleet) == 2
 
-    def test_load_router_prefers_measured_over_unmeasured_guess(
-        self, params5, images
-    ):
-        """The knowledge-base regression: a shard whose (cold, depth)
-        class was never measured used to win the routing on the strength
-        of ``expected_latency``'s pooled-fallback guess — or the
-        no-knowledge 0.0 — beating a shard with a *measured* (higher)
-        latency.  The ordering now trusts measured cells first."""
-        store = PolicyStore()
-        store.record(False, 1, 10)    # cold@1: measured, cheap
-        store.record(False, 0, 100)   # cold@0: measured, expensive
-        managers = _shard_managers(params5, images, 2)
-        fleet = FleetManager(managers, router="load", policy_store=store)
-        # Shard 0 has four requests in flight: bucket 4 is empty ->
-        # pooled guess 55.  Shard 1 (depth 0) is measured at 100.
-        fleet.banks[0].in_flight = [9, 9, 9, 9]
-        # Shard 0's 55 is a guess; shard 1's 100 is a measurement.  The
-        # old (predicted, backlog) ordering picked shard 0.
-        assert store.expected_latency(False, 4) < store.expected_latency(
-            False, 0
-        )
-        assert fleet.router.choose("a", fleet) == 1
-
-    def test_load_router_zero_knowledge_store_is_neutral(
-        self, params5, images
-    ):
-        """An empty store must not perturb the pre-store ordering: every
-        shard is equally unmeasured (predicted 0.0), so backlog decides
-        exactly as in a storeless fleet."""
-        managers = _shard_managers(params5, images, 3)
-        fleet = FleetManager(managers, router="load",
-                             policy_store=PolicyStore())
-        fleet.banks[0].server_free = [500]
-        fleet.banks[1].server_free = [200]
-        assert fleet.router.choose("a", fleet) == 2
-
     def test_load_router_ties_break_by_index(self, params5, images):
         managers = _shard_managers(params5, images, 3)
         fleet = FleetManager(managers, router="load")
         assert fleet.router.choose("a", fleet) == 0
+
+    def test_load_router_then_prefers_fewer_resident_tasks(
+        self, params5, images
+    ):
+        managers = _shard_managers(params5, images, 3)
+        fleet = FleetManager(managers, router="load")
+        managers[0].place_task("a")
+        # Equal (zero) backlogs: the emptier fabric wins.
+        assert fleet.router.choose("b", fleet) == 1
+
+    def test_load_router_then_prefers_lower_mean_latency(
+        self, params5, images
+    ):
+        fleet = FleetManager(_shard_managers(params5, images, 3),
+                             router="load")
+        fleet.banks[0].latencies = [100]
+        fleet.banks[1].latencies = [10, 30]
+        fleet.banks[2].latencies = [50]
+        assert fleet.router.choose("a", fleet) == 1
+        # A shard with no recorded requests counts as mean zero.
+        fleet.banks[2].latencies = []
+        assert fleet.router.choose("a", fleet) == 2
+
+    def test_load_router_then_prefers_fewer_serviced_requests(
+        self, params5, images
+    ):
+        fleet = FleetManager(_shard_managers(params5, images, 3),
+                             router="load")
+        fleet.banks[0].latencies = [20, 20]
+        fleet.banks[1].latencies = [20, 20, 20]
+        fleet.banks[2].latencies = [20]
+        assert fleet.router.choose("a", fleet) == 2
+
+    @pytest.mark.parametrize("router", ["hash", "load"])
+    def test_fleet_of_one_replays_without_routing(
+        self, params5, images, monkeypatch, router
+    ):
+        def refuse(self, task, fleet):
+            raise AssertionError("a fleet of one has nothing to route")
+
+        monkeypatch.setattr(ConsistentHashRouter, "choose", refuse)
+        monkeypatch.setattr(LoadAwareRouter, "choose", refuse)
+        trace = generate_trace(
+            "zipf", [n for n, _v in images], 20, seed=3,
+            arrivals="poisson", mean_interarrival=300, max_resident=1,
+        )
+        single = WorkloadSimulator(
+            _shard_managers(params5, images, 1)[0]
+        ).run(trace)
+        fleet_report = WorkloadSimulator(fleet=FleetManager(
+            _shard_managers(params5, images, 1), router=router,
+        )).run(trace)
+        for key in ("events", "cycles", "latency", "queue", "per_task"):
+            assert fleet_report[key] == single[key], key
+        assert fleet_report["fleet"]["router"] == router
+
+    def test_fleet_of_one_never_asks_the_router(self, params5, images):
+        class NoRouter:
+            name = "none"
+
+            def choose(self, task, fleet):
+                raise AssertionError("a fleet of one has nothing to route")
+
+        fleet = FleetManager(_shard_managers(params5, images, 1),
+                             router=NoRouter())
+        assert fleet.route("a") == 0
+        assert fleet.home("a") == 0
+        assert fleet.place_task("a")[0] == 0
+        assert fleet.home("a") == 0
 
     def test_resident_task_routes_sticky(self, params5, images):
         managers = _shard_managers(params5, images, 4)
@@ -332,14 +364,6 @@ class TestMigration:
         assert report["queue"]["arrivals"] == 2
         assert report["events"]["migrations"] == 1
         assert report["per_task"]["a"]["migrations"] == 1
-        # And the load-aware knowledge base, when the fleet carries one.
-        store = PolicyStore()
-        fleet2 = FleetManager(
-            _shard_managers(params5, images, 2),
-            router=PinRouter(), migrate_backlog=1, policy_store=store,
-        )
-        WorkloadSimulator(fleet=fleet2).run(trace)
-        assert len(store) == 2
 
     def test_closed_loop_migration_fails_fast(self, params5, images):
         # A closed-loop trace has no backlog clock: arming migration on

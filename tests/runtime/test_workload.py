@@ -398,7 +398,7 @@ class TestSummarizeCompatibility:
         ).run(trace)
         text = summarize_report(report)
         assert "admission: defer-cold (threshold 2)" in text
-        assert "store holds" in text
+        assert "deferred, 0 dropped" in text
         # Reports with no admission section render no such line.
         plain = WorkloadSimulator(_manager(params5, images)).run(trace)
         assert "admission:" not in summarize_report(plain)
@@ -549,39 +549,6 @@ class TestRunScenario:
         )
         assert one["events"]["loads"] > 0
 
-    def test_cache_dir_warms_second_process(self, tmp_path):
-        first = run_scenario(kind="hot-set", n_tasks=2, length=8, seed=2,
-                             cache_dir=str(tmp_path))
-        second = run_scenario(kind="hot-set", n_tasks=2, length=8, seed=2,
-                              cache_dir=str(tmp_path))
-        assert first["scenario"]["cache_entries_restored"] == 0
-        assert second["scenario"]["cache_entries_restored"] > 0
-        assert second["cache"]["misses"] == 0
-        assert second["bytes_decoded"] == 0
-
-    def test_cache_dir_warms_decode_memo(self, tmp_path):
-        from repro.runtime.workload import MEMO_FILE_NAME
-
-        first = run_scenario(kind="round-robin", n_tasks=2, length=8,
-                             seed=2, cache_capacity=1,
-                             cache_dir=str(tmp_path))
-        assert first["scenario"]["memo_entries_restored"] == 0
-        assert (tmp_path / MEMO_FILE_NAME).exists()
-        # Thrashing cache (capacity 1 over 2 tasks) forces re-decodes,
-        # which the restored memo now serves without router replays.
-        second = run_scenario(kind="round-robin", n_tasks=2, length=8,
-                              seed=2, cache_capacity=1,
-                              cache_dir=str(tmp_path))
-        assert second["scenario"]["memo_entries_restored"] > 0
-        # The memo never changes *what happens* — same event outcomes,
-        # same frames written — but the warm start is a real latency
-        # win: router replays the cold run paid are served from the
-        # memo (and the one restored cache entry) instead.
-        assert first["events"] == second["events"]
-        assert second["cycles"]["decode"] < first["cycles"]["decode"]
-        assert second["cycles"]["write"] == first["cycles"]["write"]
-        assert second["cycles"]["fetch"] == first["cycles"]["fetch"]
-
 
 class TestSimulateCli:
     def test_runtime_simulate_json(self, tmp_path, capsys):
@@ -663,6 +630,18 @@ class TestSimulateCli:
         assert report["latency"] is None
         assert report["queue"]["arrivals"] == 0
         assert report["clock"]["utilization"] == 0.0
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["runtime", "sweep"], "sweep"),
+        (["runtime", "simulate", "--cache-dir", "x"], "--cache-dir"),
+    ])
+    def test_retired_verb_and_option_exit_2(self, argv, flag, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_zero_length_trace_exits_2(self, tmp_path, capsys):
         # The generator's length floor: ``--length 0`` is a request for

@@ -22,6 +22,77 @@ class TestErrorHierarchy:
             raise errors.BitstreamError("boom")
 
 
+class TestNoCodeExecutionOnLoad:
+    def test_no_module_imports_pickle(self):
+        """Nothing the package reads back may execute code: no module
+        imports a pickle-family deserializer."""
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        banned = {"pickle", "_pickle", "cPickle", "shelve", "dill",
+                  "cloudpickle"}
+        offenders = []
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module]
+                else:
+                    continue
+                if any(name.split(".")[0] in banned for name in names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
+
+
+class TestRetiredSurface:
+    """The knee sweep, the drop-cold/priority policies, the policy store
+    and on-disk cache persistence are gone for good: no module exports
+    them and no entry point takes their options."""
+
+    @pytest.mark.parametrize("path", [
+        "repro.runtime.admission:PolicyStore",
+        "repro.runtime.admission:AdmissionPolicy",
+        "repro.runtime.admission:DropColdPolicy",
+        "repro.runtime.admission:PriorityPolicy",
+        "repro.runtime.workload:sweep_arrival_rates",
+        "repro.runtime.workload:run_sweep_scenario",
+        "repro.runtime.costmodel:locate_knee",
+        "repro.runtime.costmodel:shared_dict_digest",
+        "repro.runtime.costmodel:DecodeCache.save",
+        "repro.vbs.devirt:DecodeMemo.dump_delta",
+        "repro.vbs.devirt:MEMO_FILE_FORMAT",
+        "repro.eval.experiments:run_sweep",
+    ])
+    def test_retired_name_is_gone(self, path):
+        import importlib
+
+        module, _, attrs = path.partition(":")
+        owner = importlib.import_module(module)
+        *parents, leaf = attrs.split(".")
+        for name in parents:
+            owner = getattr(owner, name)
+        assert not hasattr(owner, leaf)
+
+    @pytest.mark.parametrize("path, option", [
+        ("repro.runtime.fleet:FleetManager", "policy_store"),
+        ("repro.runtime.workload:run_scenario", "cache_dir"),
+        ("repro.vbs.encode:encode_design", "memo_path"),
+        ("repro.vbs.encode:encode_task", "memo_path"),
+    ])
+    def test_retired_option_is_gone(self, path, option):
+        import importlib
+        import inspect
+
+        module, _, name = path.partition(":")
+        target = getattr(importlib.import_module(module), name)
+        assert option not in inspect.signature(target).parameters
+        with pytest.raises(TypeError, match=option):
+            target(**{option: "x"})
+
+
 class TestVbsgenCli:
     @pytest.mark.integration
     def test_vbsgen_on_blif(self, tmp_path, capsys):

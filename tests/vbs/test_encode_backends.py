@@ -193,218 +193,63 @@ class TestSharedMemoSweep:
         assert reused
         assert len(memo) == 2
 
-class TestPersistedMemo:
-    """DecodeMemo save/load: warm starts across processes, bytes pinned.
-
-    The persisted memo mirrors the decode cache's contract one layer
-    down: version-stamped, corrupt-tolerant, restored entries skip the
-    router replay but can never change the emitted container (the
-    router is deterministic; the memo only short-circuits it).
-    """
-
-    def _encode(self, tiny_flow, tiny_config, memo, path, **kwargs):
-        return encode_flow(
-            tiny_flow, tiny_config, cluster_size=1, codecs="auto",
-            memo=memo, memo_path=str(path), **kwargs,
-        )
-
-    def test_cold_run_writes_versioned_file(self, tiny_flow, tiny_config,
-                                            tmp_path):
-        import pickle
-
-        from repro.vbs.devirt import MEMO_FILE_FORMAT
-
-        path = tmp_path / "memo.pkl"
-        self._encode(tiny_flow, tiny_config, DecodeMemo(), path)
-        payload = pickle.loads(path.read_bytes())
-        assert payload["format"] == MEMO_FILE_FORMAT
-        assert len(payload["entries"]) > 0
-
-    def test_warm_start_bytes_identical_and_hits_grow(
-        self, tiny_flow, tiny_config, tmp_path
-    ):
-        path = tmp_path / "memo.pkl"
-        cold_memo = DecodeMemo()
-        cold = self._encode(tiny_flow, tiny_config, cold_memo, path)
-        warm_memo = DecodeMemo()
-        warm = self._encode(tiny_flow, tiny_config, warm_memo, path)
+    @pytest.mark.parametrize("codecs", CODEC_SELECTIONS, ids=_ids)
+    def test_warm_memo_reencode_is_identical(self, tiny_flow, tiny_config,
+                                             codecs):
+        memo = DecodeMemo()
+        cold = encode_flow(tiny_flow, tiny_config, cluster_size=2,
+                           codecs=codecs, memo=memo)
+        misses = memo.misses
+        warm = encode_flow(tiny_flow, tiny_config, cluster_size=2,
+                           codecs=codecs, memo=memo)
         assert warm.to_bits().to_bytes() == cold.to_bits().to_bytes()
-        assert warm_memo.restored > 0
-        # Every decode the cold run routed is replayed from the file.
-        assert warm_memo.hits > cold_memo.hits
-        assert warm_memo.misses == 0
+        # Everything the second run decodes was decoded by the first.
+        assert memo.misses == misses
+        assert warm.stats.decode_reuse_hits > cold.stats.decode_reuse_hits
 
-    def test_pooled_backends_unchanged_by_restored_memo(
-        self, tiny_flow, tiny_config, tmp_path
+    @pytest.mark.parametrize("codecs", CODEC_SELECTIONS, ids=_ids)
+    def test_warm_memo_leaves_pooled_bytes_unchanged(
+        self, tiny_flow, tiny_config, codecs
     ):
-        path = tmp_path / "memo.pkl"
-        baseline = encode_flow(
-            tiny_flow, tiny_config, cluster_size=1, codecs="auto"
-        )
-        self._encode(tiny_flow, tiny_config, DecodeMemo(), path)  # seed it
-        pooled = self._encode(
-            tiny_flow, tiny_config, DecodeMemo(), path, workers=2,
-        )
-        assert pooled.to_bits().to_bytes() == baseline.to_bits().to_bytes()
+        # Workers start with empty memos of their own: a warm caller
+        # memo must not change what the process backend emits.
+        memo = DecodeMemo()
+        serial = encode_flow(tiny_flow, tiny_config, cluster_size=2,
+                             codecs=codecs, memo=memo)
+        pooled = encode_flow(tiny_flow, tiny_config, cluster_size=2,
+                             codecs=codecs, memo=memo, workers=2)
+        assert pooled.to_bits().to_bytes() == serial.to_bits().to_bytes()
 
-    def test_process_run_merges_worker_deltas(
-        self, tiny_flow, tiny_config, tmp_path
+    @pytest.mark.parametrize("bound", [1, 3])
+    def test_bounded_memo_holds_its_bound_through_an_encode(
+        self, tiny_flow, tiny_config, bound
     ):
-        import pickle
+        memo = DecodeMemo(max_entries=bound)
+        bounded = encode_flow(tiny_flow, tiny_config, cluster_size=1,
+                              codecs="auto", memo=memo)
+        unbounded = encode_flow(tiny_flow, tiny_config, cluster_size=1,
+                                codecs="auto")
+        assert len(memo) == bound
+        assert bounded.to_bits().to_bytes() == \
+               unbounded.to_bits().to_bytes()
 
-        path = tmp_path / "memo.pkl"
-        # Cold process run: every persisted entry was discovered inside
-        # a pool worker and merged on exit.
-        self._encode(
-            tiny_flow, tiny_config, DecodeMemo(), path,
-            workers=2,
-        )
-        payload = pickle.loads(path.read_bytes())
-        assert len(payload["entries"]) > 0
-        # The merged file warms a subsequent serial run completely.
-        warm_memo = DecodeMemo()
-        self._encode(tiny_flow, tiny_config, warm_memo, path)
-        assert warm_memo.restored > 0
-        assert warm_memo.misses == 0
-        # No merge scratch directory is left behind.
-        assert list(tmp_path.glob("memo-merge-*")) == []
-
-    def test_process_run_never_loses_entries(
-        self, tiny_flow, tiny_config, tmp_path
-    ):
-        import pickle
-
-        path = tmp_path / "memo.pkl"
-        self._encode(tiny_flow, tiny_config, DecodeMemo(), path)
-        before = dict(pickle.loads(path.read_bytes())["entries"])
-        self._encode(
-            tiny_flow, tiny_config, DecodeMemo(), path,
-            workers=2,
-        )
-        after = dict(pickle.loads(path.read_bytes())["entries"])
-        # The parent folds its own warm start and the worker deltas into
-        # one file: everything the serial run persisted must survive.
-        assert set(before) <= set(after)
-
-    def test_stale_foreign_delta_never_merged(self, tmp_path):
-        # Regression: the merge-on-exit fold globbed *every*
-        # ``worker-*.pkl`` in the scratch directory, so a delta left by
-        # a crashed earlier run was silently folded into this run's
-        # memo.  Deltas are now stamped with a per-run id and the fold
-        # ignores foreign (or unstamped pre-run-id) files.
-        from repro.arch import ArchParams, get_cluster_model
-        from repro.vbs.encode import _merge_worker_deltas
-
-        model = get_cluster_model(ArchParams(channel_width=5), 1)
-        stale = DecodeMemo()
-        stale.decode(model, [(0, 5)])
-        assert stale.dump_delta(tmp_path / "worker-deadbeef-41.pkl",
-                                frozenset(), run_id="deadbeef") == 1
-        unstamped = DecodeMemo()
-        unstamped.decode(model, [(1, 6)])
-        assert unstamped.dump_delta(tmp_path / "worker-42.pkl",
-                                    frozenset()) == 1
-        fresh = DecodeMemo()
-        fresh.decode(model, [(2, 7)])
-        assert fresh.dump_delta(tmp_path / "worker-cafe-43.pkl",
-                                frozenset(), run_id="cafe") == 1
-
-        memo = DecodeMemo()
-        assert _merge_worker_deltas(memo, tmp_path, "cafe") == 1
-        _res, reused = memo.decode(model, [(2, 7)])
-        assert reused  # this run's delta was folded
-        _res, stale_hit = memo.decode(model, [(0, 5)])
-        assert not stale_hit  # the crashed run's delta was not
-
-    def test_load_rejects_foreign_run_stamp(self, tmp_path):
-        from repro.arch import ArchParams, get_cluster_model
-
-        model = get_cluster_model(ArchParams(channel_width=5), 1)
-        src = DecodeMemo()
-        src.decode(model, [(0, 5)])
-        path = tmp_path / "worker-abc-7.pkl"
-        src.dump_delta(path, frozenset(), run_id="abc")
-        assert DecodeMemo().load(path, run_id="other") == 0
-        assert DecodeMemo().load(path, run_id="abc") == 1
-        # run-agnostic loads (the plain persisted-memo path) still fold.
-        assert DecodeMemo().load(path) == 1
-
-    def test_corrupt_memo_file_tolerated(self, tiny_flow, tiny_config,
-                                         tmp_path):
-        path = tmp_path / "memo.pkl"
-        path.write_bytes(b"not a pickle")
-        memo = DecodeMemo()
-        vbs = self._encode(tiny_flow, tiny_config, memo, path)
-        assert memo.restored == 0
-        baseline = encode_flow(
-            tiny_flow, tiny_config, cluster_size=1, codecs="auto"
-        )
-        assert vbs.to_bits().to_bytes() == baseline.to_bits().to_bytes()
-        # The run repaired the file on its way out.
-        memo2 = DecodeMemo()
-        self._encode(tiny_flow, tiny_config, memo2, path)
-        assert memo2.restored > 0
-
-    def test_wrong_format_version_ignored(self, tmp_path):
-        import pickle
-
-        path = tmp_path / "memo.pkl"
-        path.write_bytes(pickle.dumps({"format": 999, "entries": []}))
-        memo = DecodeMemo()
-        assert memo.load(path) == 0
-
-    def test_load_respects_bound_and_existing_keys(self, tmp_path):
-        from repro.arch import ArchParams, get_cluster_model
-
-        model = get_cluster_model(ArchParams(channel_width=5), 1)
-        big = DecodeMemo()
-        big.decode(model, [(0, 5)])
-        big.decode(model, [(1, 6)])
-        big.decode(model, [(2, 7)])
-        path = tmp_path / "memo.pkl"
-        assert big.save(path) == 3
-        # A bounded memo restores only into its free room, preferring
-        # the file's MRU tail.
-        bounded = DecodeMemo(max_entries=2)
-        assert bounded.load(path) == 2
-        assert len(bounded) == 2
-        _res, reused = bounded.decode(model, [(2, 7)])  # the MRU entry
-        assert reused
-        # A live entry is never overwritten by a restore.
-        fresh = DecodeMemo()
-        fresh.decode(model, [(0, 5)])
-        assert fresh.load(path) == 2  # the shared key is skipped
-        assert len(fresh) == 3
-
-    def test_load_never_displaces_live_entries(self, tmp_path):
-        from repro.arch import ArchParams, get_cluster_model
-
-        model = get_cluster_model(ArchParams(channel_width=5), 1)
-        stale = DecodeMemo()
-        stale.decode(model, [(1, 6)])
-        stale.decode(model, [(2, 7)])
-        path = tmp_path / "memo.pkl"
-        stale.save(path)
-        # A full bounded memo keeps its (fresher) live entries; the
-        # file restores nothing rather than evicting them.
-        live = DecodeMemo(max_entries=1)
-        live.decode(model, [(0, 5)])
-        assert live.load(path) == 0
-        _res, reused = live.decode(model, [(0, 5)])
-        assert reused
-        assert len(live) == 1
-
-    def test_task_scope_encode_with_memo_path(self, tiny_flow, tiny_config,
-                                              tmp_path):
+    def test_task_scope_encode_reuses_shared_memo(self, tiny_flow,
+                                                  tiny_config):
         from repro.vbs.encode import encode_task
 
-        path = tmp_path / "memo.pkl"
         jobs = [(tiny_flow, tiny_config)] * 2
-        cold = encode_task(jobs, dict_id=3, codecs="auto",
-                           memo_path=str(path))
-        warm_memo = DecodeMemo()
-        warm = encode_task(jobs, dict_id=3, codecs="auto", memo=warm_memo,
-                           memo_path=str(path))
-        assert warm_memo.restored > 0
-        for a, b in zip(cold.containers, warm.containers):
-            assert a.to_bits().to_bytes() == b.to_bits().to_bytes()
+        memo = DecodeMemo()
+        first = encode_task(jobs, dict_id=3, cluster_size=2, memo=memo)
+        misses = memo.misses
+        second = encode_task(jobs, dict_id=3, cluster_size=2, memo=memo)
+        assert memo.misses == misses and memo.hits > 0
+        assert second.table == first.table
+        assert [v.to_bits().to_bytes() for v in second.containers] == \
+               [v.to_bits().to_bytes() for v in first.containers]
+
+    def test_memo_lives_in_process_only(self, tiny_flow, tiny_config):
+        # The memo is an object the caller holds; there is no file to
+        # warm it from or dump it to.
+        with pytest.raises(TypeError, match="memo_path"):
+            encode_flow(tiny_flow, tiny_config, memo_path="memo.bin")
+        assert not hasattr(DecodeMemo(), "save")

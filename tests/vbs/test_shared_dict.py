@@ -295,6 +295,36 @@ class TestRuntimeLifecycle:
         assert not task.load_cost.cache_hit
         assert ctrl.decode_cache.stats.misses == 2
 
+    def test_entry_holds_the_table_it_was_decoded_with(
+        self, dpath_flow, task_result
+    ):
+        mgr = self._manager(dpath_flow, task_result)
+        ctrl = mgr.controller
+        mgr.place_task("t0")
+        (key,) = ctrl.decode_cache.keys()
+        entry = ctrl.decode_cache.peek(key)
+        assert entry.shared_dict_id == 7
+        assert entry.table == task_result.table
+
+    def test_republished_equal_table_keeps_cached_expansion(
+        self, dpath_flow, task_result
+    ):
+        """Freshness is table equality: republishing the same bits
+        under the id (a new object) keeps the entry warm."""
+        from repro.utils.bitarray import BitArray
+
+        mgr = self._manager(dpath_flow, task_result)
+        ctrl = mgr.controller
+        mgr.place_task("t0")
+        ctrl.unload_task("t0")
+        copy = tuple(BitArray.from_bits(list(p)) for p in task_result.table)
+        assert copy == task_result.table
+        ctrl.memory.store_shared_dict(7, copy)
+        task = mgr.place_task("t0")
+        assert task.load_cost.cache_hit
+        assert ctrl.decode_cache.stats.misses == 1
+        assert ctrl.decode_cache.stats.evictions == 0
+
     def test_republish_while_resident_fails_loudly(
         self, dpath_flow, task_result
     ):
